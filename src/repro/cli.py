@@ -73,8 +73,7 @@ def _add_executor(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--executor", default=None, choices=EXECUTOR_BACKENDS,
         help="executor simulation backend (default: $REPRO_EXECUTOR, else "
-        "python; numpy/numba are bitwise identical and much faster; "
-        "numba falls back to numpy when not installed)",
+        "python; numpy is bitwise identical and much faster)",
     )
 
 

@@ -99,7 +99,7 @@ def run_fault_sweep(
     With ``check=True`` every completed cell is replayed through the
     protocol invariant checker.  Deterministic: same arguments => same
     cells, bitwise — including across ``executor`` backends (``python``
-    / ``numpy`` / ``numba``; ``None`` defers to the process default).
+    or ``numpy``; ``None`` defers to the process default).
     """
     if not severities:
         raise ConfigurationError("need at least one severity")

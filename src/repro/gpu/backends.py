@@ -1,4 +1,4 @@
-"""Array executor backends: the vectorized simulation core.
+"""Array executor backend: the discrete-event model over flat arrays.
 
 The pure-Python :class:`~repro.gpu.executor.Executor` is this repo's
 *bitwise oracle*: exact, heavily tested, and slow — every simulated
@@ -9,45 +9,31 @@ model over flat numpy arrays (:class:`TaskArrays`) and is required to be
 timings, same ``DeadlockError`` wait chains, same ``executor.*`` and
 ``faults.*`` counters.
 
-Two array strategies, picked per run:
+One event loop serves every schedule — data-parallel and fixed-split
+tiles dispatched in waves as well as Stream-K's single wave of
+persistent CTAs, pristine or faulted.  It is the oracle's algorithm
+verbatim over flat arrays with zero per-segment allocation, consulting
+the fault injector (when one is given) in the oracle's exact query
+order.
 
-* **single-wave vectorized** — when every CTA launches immediately
-  (``num_ctas <= num_sm_slots``) and, per CTA, its one ``SIGNAL``
-  precedes its first ``WAIT`` (true of every schedule this repo builds;
-  asserted structurally by ``one_wave_makespan``), all signal timestamps
-  are closed-form prefix folds.  The simulation becomes two short loops
-  over segment *positions* with all CTAs advanced as numpy vectors —
-  the fold order of the floating-point adds is exactly the oracle's, so
-  equality is bitwise, not approximate.
-* **lean event loop** — the general fallback (multi-wave dispatch,
-  adversarial hand-built tasks): the oracle's algorithm verbatim, but
-  over flat arrays with zero per-segment allocation, consulting the
-  fault injector in the oracle's exact query order.
-
-Backend selection: ``python`` (the oracle), ``numpy`` (this module), or
-``numba`` (:mod:`~repro.gpu.backend_numba`, an ``@njit`` twin of the
-event loop that falls back to numpy when numba is not installed or when
-fault callbacks are needed).  The default comes from the
-``REPRO_EXECUTOR`` environment variable (CLI flag ``--executor``
-overrides per invocation via :func:`set_default_executor`).
+Backend selection: ``python`` (the oracle) or ``numpy`` (this module).
+The default comes from the ``REPRO_EXECUTOR`` environment variable (CLI
+flag ``--executor`` overrides per invocation via
+:func:`set_default_executor`).
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigurationError, DeadlockError
+from ..errors import ConfigurationError, DeadlockError, SimulationError
 from ..obs.counters import inc_counter
 from ..obs.profiler import span
-from ..schedules.flatten import (
-    KIND_COMPUTE,
-    KIND_NAMES,
-    KIND_SIGNAL,
-    KIND_WAIT,
-)
+from ..schedules.flatten import KIND_NAMES, KIND_SIGNAL, KIND_WAIT
 from .cta import SegmentKind
 from .trace import CtaRecord, ExecutionTrace, SegmentRecord
 
@@ -69,7 +55,7 @@ if tuple(k.value for k in CODE_TO_KIND) != KIND_NAMES:  # pragma: no cover
     raise AssertionError("segment-kind codes drifted from SegmentKind")
 KIND_TO_CODE = {k: i for i, k in enumerate(CODE_TO_KIND)}
 
-EXECUTOR_BACKENDS = ("python", "numpy", "numba")
+EXECUTOR_BACKENDS = ("python", "numpy")
 _ENV_VAR = "REPRO_EXECUTOR"
 _default_backend: "str | None" = None
 
@@ -90,20 +76,13 @@ def resolve_executor_backend(name: "str | None" = None) -> str:
     """Resolve a backend request to a concrete backend name.
 
     Precedence: explicit ``name`` > :func:`set_default_executor` >
-    ``REPRO_EXECUTOR`` env var > ``"python"``.  ``numba`` degrades
-    gracefully to ``numpy`` when numba is not importable.
+    ``REPRO_EXECUTOR`` env var > ``"python"``.
     """
     if name is None:
         name = _default_backend
     if name is None:
         name = os.environ.get(_ENV_VAR, "").strip() or "python"
-    name = _validate_backend(name)
-    if name == "numba":
-        from . import backend_numba
-
-        if not backend_numba.HAS_NUMBA:
-            return "numpy"
-    return name
+    return _validate_backend(name)
 
 
 def _validate_backend(name: str) -> str:
@@ -129,21 +108,11 @@ class TaskArrays:
     (flattener codes), ``cycles`` (base-priced, pre-fault-multiplier)
     and ``slots`` (-1 = none; ``SIGNAL`` rows carry the CTA's own slot).
 
-    Derived per-CTA arrays are precomputed once: ``signal_local`` (the
-    signal's index within its CTA, -1 if none), ``signal_slot`` (the
-    slot it publishes, -1 if none) and ``first_wait_local``.
+    The derived per-CTA ``signal_slot`` (the slot each CTA publishes,
+    -1 if none) is precomputed once for deadlock diagnosis.
     """
 
-    __slots__ = (
-        "ctas",
-        "seg_off",
-        "kinds",
-        "cycles",
-        "slots",
-        "signal_local",
-        "signal_slot",
-        "first_wait_local",
-    )
+    __slots__ = ("ctas", "seg_off", "kinds", "cycles", "slots", "signal_slot")
 
     def __init__(self, ctas, seg_off, kinds, cycles, slots):
         self.ctas = np.ascontiguousarray(ctas, dtype=np.int64)
@@ -154,25 +123,16 @@ class TaskArrays:
         n = self.ctas.shape[0]
         if np.unique(self.ctas).shape[0] != n:
             raise ConfigurationError("duplicate CTA ids in task list")
-        rows = self.rows()
-        self.signal_local = np.full(n, -1, dtype=np.int64)
         self.signal_slot = np.full(n, -1, dtype=np.int64)
         sig_idx = np.flatnonzero(self.kinds == KIND_SIGNAL)
         if sig_idx.size:
-            srows = rows[sig_idx]
-            self.signal_local[srows] = sig_idx - self.seg_off[srows]
+            srows = np.repeat(
+                np.arange(n, dtype=np.int64), np.diff(self.seg_off)
+            )[sig_idx]
             sslots = self.slots[sig_idx]
             self.signal_slot[srows] = np.where(
                 sslots < 0, self.ctas[srows], sslots
             )
-        self.first_wait_local = np.full(n, -1, dtype=np.int64)
-        wait_idx = np.flatnonzero(self.kinds == KIND_WAIT)
-        if wait_idx.size:
-            wrows = rows[wait_idx]
-            # Reverse assignment: the earliest wait of each row wins.
-            self.first_wait_local[wrows[::-1]] = (
-                wait_idx - self.seg_off[wrows]
-            )[::-1]
 
     @property
     def num_ctas(self) -> int:
@@ -181,19 +141,6 @@ class TaskArrays:
     @property
     def num_segments(self) -> int:
         return self.kinds.shape[0]
-
-    def rows(self) -> np.ndarray:
-        """CTA row index of every segment (CSR expansion)."""
-        return np.repeat(
-            np.arange(self.num_ctas, dtype=np.int64), np.diff(self.seg_off)
-        )
-
-    def local_indices(self) -> np.ndarray:
-        """Each segment's index within its own CTA's segment list."""
-        return (
-            np.arange(self.num_segments, dtype=np.int64)
-            - self.seg_off[self.rows()]
-        )
 
 
 def tasks_to_arrays(tasks) -> TaskArrays:
@@ -397,12 +344,12 @@ def _find_cycle(by_cta, producer_of_slot, blocked) -> "list[int] | None":
 
 
 def run_task_arrays(
-    arrays: TaskArrays, num_sm_slots: int, faults=None, backend: str = "numpy"
+    arrays: TaskArrays, num_sm_slots: int, faults=None
 ) -> ExecutionTrace:
-    """Execute a :class:`TaskArrays` with an array backend.
+    """Execute a :class:`TaskArrays` with the numpy backend.
 
     Publishes the same ``executor.*`` counters as the oracle (plus an
-    ``executor.backend.<name>`` tally) and returns an
+    ``executor.backend.numpy`` tally) and returns an
     :class:`ArrayTrace`; raises the oracle's exact ``DeadlockError`` /
     ``SimulationError`` on unprogressable or malformed runs.
     """
@@ -411,23 +358,9 @@ def run_task_arrays(
             "need at least one SM slot, got %d" % num_sm_slots
         )
     with span("executor_run"):
-        used = backend
-        if backend == "numba":
-            from . import backend_numba
+        trace, parks, n_signals = _run_event_loop(arrays, num_sm_slots, faults)
 
-            if backend_numba.usable(arrays, faults):
-                trace, parks, n_signals = backend_numba.run(
-                    arrays, num_sm_slots
-                )
-            else:
-                used = "numpy"
-                trace, parks, n_signals = _run_numpy(
-                    arrays, num_sm_slots, faults
-                )
-        else:
-            trace, parks, n_signals = _run_numpy(arrays, num_sm_slots, faults)
-
-    inc_counter("executor.backend.%s" % used)
+    inc_counter("executor.backend.numpy")
     inc_counter("executor.runs")
     inc_counter("executor.ctas", arrays.num_ctas)
     inc_counter("executor.segments", arrays.num_segments)
@@ -436,407 +369,14 @@ def run_task_arrays(
     return trace
 
 
-def _run_numpy(arrays, num_sm_slots, faults):
-    if _single_wave_ok(arrays, num_sm_slots):
-        return _run_single_wave(arrays, num_sm_slots, faults)
-    return _run_event_loop(arrays, num_sm_slots, faults)
-
-
-def _single_wave_ok(arrays: TaskArrays, num_sm_slots: int) -> bool:
-    """Whether the vectorized single-wave path applies.
-
-    Requires: every CTA launches immediately (one wave), each CTA's
-    signal precedes its first wait (so signal timestamps are closed-form
-    prefix sums — the structural invariant of every schedule this repo
-    builds), and no two CTAs publish the same slot (the pathological
-    double-signal case is left to the event loop, which reports it at
-    the oracle's exact execution point).
-    """
-    if arrays.num_ctas > num_sm_slots:
-        return False
-    sig, fw = arrays.signal_local, arrays.first_wait_local
-    if bool(np.any((sig >= 0) & (fw >= 0) & (fw < sig))):
-        return False
-    # One signal per CTA (hand-built arrays can violate what CtaTask
-    # validation normally guarantees), and no two CTAs on one slot.
-    if int(np.count_nonzero(arrays.kinds == KIND_SIGNAL)) != int(
-        np.count_nonzero(sig >= 0)
-    ):
-        return False
-    pub = arrays.signal_slot[arrays.signal_slot >= 0]
-    if np.unique(pub).shape[0] != pub.shape[0]:
-        return False
-    return True
-
-
-# ---------------------------------------------------------------------- #
-# Vectorized single-wave path                                             #
-# ---------------------------------------------------------------------- #
-
-
-def _run_single_wave(arrays: TaskArrays, num_sm_slots: int, faults):
-    """All CTAs launch at t=0 on slot == launch index; advance CTAs in
-    lockstep over segment positions with numpy vectors.
-
-    Floating-point parity with the oracle holds because every value is
-    produced by the same op sequence: per segment one ``t + cycles`` add
-    (cycles being ``base * slot_mult`` plus an optional penalty add), a
-    ``max`` for waits (exact), and the two-add signal-delay sequence.
-    """
-    n = arrays.num_ctas
-    S = arrays.num_segments
-    seg_off = arrays.seg_off
-    kinds = arrays.kinds
-    cycles = arrays.cycles
-    slots = arrays.slots
-    nseg = np.diff(seg_off)
-    rows = arrays.rows()
-    local = arrays.local_indices()
-    launch = np.arange(n, dtype=np.int64)
-
-    # --- signal bookkeeping (drops, delays, producers) ----------------- #
-    sig_rows = np.flatnonzero(arrays.signal_local >= 0)
-    if faults is not None and sig_rows.size:
-        # Every signal executes (it precedes its CTA's first wait), so
-        # drop/delay sites are static — query them in launch order, the
-        # oracle's dispatch order.
-        dropped = faults.signal_drops(arrays.ctas[sig_rows])
-    else:
-        dropped = np.zeros(sig_rows.shape[0], dtype=bool)
-    delay_by_row = np.zeros(n, dtype=np.float64)
-    if faults is not None and sig_rows.size:
-        live = sig_rows[~dropped]
-        delay_by_row[live] = faults.signal_delays(arrays.ctas[live])
-
-    pub_rows = sig_rows[~dropped]
-    pub_slots = arrays.signal_slot[pub_rows]
-    order = np.argsort(pub_slots)
-    sorted_slots = pub_slots[order]
-    sorted_rows = pub_rows[order]
-    dropped_slot_ids = set(arrays.signal_slot[sig_rows[dropped]].tolist())
-
-    # --- wait availability and blocked prefixes ------------------------ #
-    wait_idx = np.flatnonzero(kinds == KIND_WAIT)
-    wait_prod_row = np.full(S, -1, dtype=np.int64)
-    if wait_idx.size and sorted_slots.size:
-        wslots = slots[wait_idx]
-        pos = np.searchsorted(sorted_slots, wslots)
-        pos_c = np.minimum(pos, sorted_slots.size - 1)
-        found = sorted_slots[pos_c] == wslots
-        wait_prod_row[wait_idx[found]] = sorted_rows[pos_c[found]]
-    stop_local = nseg.copy()
-    if wait_idx.size:
-        bad = wait_idx[wait_prod_row[wait_idx] < 0]
-        if bad.size:
-            brows = rows[bad]
-            stop_local[brows[::-1]] = (local[bad])[::-1]
-    executed = local < stop_local[rows]
-
-    # --- fault pricing over executed sites ----------------------------- #
-    if faults is None:
-        exec_cycles = cycles
-    else:
-        nonwait_exec = executed & (kinds != KIND_WAIT)
-        mult_rows = np.unique(rows[nonwait_exec])
-        mult_by_row = np.ones(n, dtype=np.float64)
-        if mult_rows.size:
-            # Slot index == launch index in a single wave.
-            mult_by_row[mult_rows] = faults.slot_multipliers(mult_rows)
-        exec_cycles = cycles * mult_by_row[rows]
-        pmask = (kinds == KIND_COMPUTE) & (cycles > 0.0) & executed
-        if pmask.any():
-            pen = faults.preempt_penalties(
-                arrays.ctas[rows[pmask]], local[pmask], cycles[pmask]
-            )
-            exec_cycles[pmask] += pen
-
-    # --- pass 1: signal timestamps (prefix folds, oracle op order) ----- #
-    sig_time_by_row = np.zeros(n, dtype=np.float64)
-    if sig_rows.size:
-        soff = seg_off[sig_rows]
-        sl = arrays.signal_local[sig_rows]
-        t = np.zeros(sig_rows.size, dtype=np.float64)
-        for p in range(int(sl.max()) + 1):
-            act = sl >= p
-            t[act] = t[act] + exec_cycles[soff[act] + p]
-        if faults is not None:
-            t = t + delay_by_row[sig_rows]
-        sig_time_by_row[sig_rows] = t
-
-    wait_sig = np.zeros(S, dtype=np.float64)
-    avail = wait_prod_row >= 0
-    wait_sig[avail] = sig_time_by_row[np.maximum(wait_prod_row[avail], 0)]
-
-    # --- pass 2: the full fold ----------------------------------------- #
-    seg_start = np.zeros(S, dtype=np.float64)
-    seg_end = np.zeros(S, dtype=np.float64)
-    tcur = np.zeros(n, dtype=np.float64)
-    runmax = launch.copy()  # highest producer launch index seen per CTA
-    parks = 0
-    for p in range(int(nseg.max()) if n else 0):
-        sel = np.flatnonzero(stop_local > p)
-        if not sel.size:
-            break
-        idx = seg_off[sel] + p
-        k = kinds[idx]
-        tprev = tcur[sel]
-        end = tprev + exec_cycles[idx]
-        w = k == KIND_WAIT
-        if w.any():
-            widx = idx[w]
-            end[w] = np.maximum(tprev[w], wait_sig[widx])
-            prod = wait_prod_row[widx]
-            msel = runmax[sel[w]]
-            parks += int(np.count_nonzero(prod > msel))
-            runmax[sel[w]] = np.maximum(msel, prod)
-        if faults is not None:
-            sg = k == KIND_SIGNAL
-            if sg.any():
-                end[sg] = end[sg] + delay_by_row[sel[sg]]
-        seg_start[idx] = tprev
-        seg_end[idx] = end
-        tcur[sel] = end
-
-    # Blocked CTAs also park once, at the wait they never clear.
-    blocked_rows = np.flatnonzero(stop_local < nseg)
-    parks += int(blocked_rows.size)
-
-    if blocked_rows.size:
-        by_slot_signal = dict(
-            zip(sorted_slots.tolist(), sig_time_by_row[sorted_rows].tolist())
-        )
-        blocked_slot = slots[seg_off[blocked_rows] + stop_local[blocked_rows]]
-        blocked_on = dict(zip(blocked_rows.tolist(), blocked_slot.tolist()))
-        finished = stop_local == nseg
-        views = [
-            DeadlockCtaView(
-                cta=int(arrays.ctas[i]),
-                signals_slot=(
-                    int(arrays.signal_slot[i])
-                    if arrays.signal_slot[i] >= 0
-                    else None
-                ),
-                launched=True,
-                finished=bool(finished[i]),
-                blocked_on=blocked_on.get(i),
-            )
-            for i in range(n)
-        ]
-        raise diagnose_deadlock(views, by_slot_signal, dropped_slot_ids)
-
-    trace = ArrayTrace(
-        num_sm_slots,
-        arrays,
-        seg_start,
-        seg_end,
-        sm_slot=launch,
-        start=np.zeros(n, dtype=np.float64),
-        finish=tcur,
-    )
-    return trace, parks, int(pub_rows.size)
-
-
-# ---------------------------------------------------------------------- #
-# Lean event-loop path (general fallback)                                 #
-# ---------------------------------------------------------------------- #
-
-
 def _run_event_loop(arrays: TaskArrays, num_sm_slots: int, faults):
-    if faults is None:
-        return _run_event_loop_pristine(arrays, num_sm_slots)
-    return _run_event_loop_faulted(arrays, num_sm_slots, faults)
-
-
-def _run_event_loop_pristine(arrays: TaskArrays, num_sm_slots: int):
-    """Multi-wave dispatch without fault injection: two passes.
-
-    Pass A replays the oracle's dispatch algorithm but touches Python
-    only at WAIT/SIGNAL segments — runs of plain segments fold through
-    ``sum(slice, t)``, and CPython's ``sum`` is the same strict
-    left-to-right float fold as the oracle's per-segment ``t = t + c``,
-    so every timestamp (and therefore every dispatch decision) is
-    bitwise the oracle's.  Pass B then fills per-segment start/end
-    times by advancing all CTAs in lockstep over segment *positions*
-    (the same numpy op order), never looping over individual segments.
-    """
-    import heapq
-
-    from ..errors import SimulationError
-
-    n = arrays.num_ctas
-    S = arrays.num_segments
-    seg_off_arr = arrays.seg_off
-    kinds_arr = arrays.kinds
-    seg_off = seg_off_arr.tolist()
-    kinds = kinds_arr.tolist()
-    cyc = arrays.cycles.tolist()
-    slots = arrays.slots.tolist()
-    W, G = KIND_WAIT, KIND_SIGNAL
-
-    # Per-CTA list of WAIT/SIGNAL segment indices, in stream order.
-    specials: "list[list[int]]" = [[] for _ in range(n)]
-    spec_idx = np.flatnonzero((kinds_arr == W) | (kinds_arr == G))
-    if spec_idx.size:
-        srows = np.searchsorted(seg_off_arr, spec_idx, side="right") - 1
-        for row, j in zip(srows.tolist(), spec_idx.tolist()):
-            specials[row].append(j)
-
-    time_ = [0.0] * n
-    start = [0.0] * n
-    cursor = seg_off[:n]
-    spec_ptr = [0] * n
-    sm_slot = [-1] * n
-    finished = [False] * n
-    by_slot_signal: "dict[int, float]" = {}
-    waiters: "dict[int, list[int]]" = {}
-    free_slots = [(0.0, s) for s in range(num_sm_slots)]
-    heapq.heapify(free_slots)
-    parks = 0
-    heappop, heappush = heapq.heappop, heapq.heappush
-
-    def deadlock() -> DeadlockError:
-        views = []
-        for r in range(n):
-            j = cursor[r]
-            blocked_on = (
-                slots[j] if (j < seg_off[r + 1] and kinds[j] == W) else None
-            )
-            views.append(
-                DeadlockCtaView(
-                    cta=int(arrays.ctas[r]),
-                    signals_slot=(
-                        int(arrays.signal_slot[r])
-                        if arrays.signal_slot[r] >= 0
-                        else None
-                    ),
-                    launched=sm_slot[r] >= 0,
-                    finished=finished[r],
-                    blocked_on=blocked_on,
-                )
-            )
-        return diagnose_deadlock(views, by_slot_signal, set())
-
-    if not spec_idx.size:
-        # No waits or signals anywhere (e.g. data-parallel): dispatch is
-        # a plain slot queue and each CTA is one left fold.
-        for r in range(n):
-            t, slot = heappop(free_slots)
-            sm_slot[r] = slot
-            start[r] = t
-            t = sum(cyc[seg_off[r]:seg_off[r + 1]], t)
-            time_[r] = t
-            finished[r] = True
-            heappush(free_slots, (t, slot))
-        cursor = seg_off[1:]
-    else:
-        ready: "list[int]" = []
-        nxt_cta = 0
-        while nxt_cta < n:
-            if not free_slots:
-                raise deadlock()
-            t, slot = heappop(free_slots)
-            r = nxt_cta
-            nxt_cta += 1
-            sm_slot[r] = slot
-            start[r] = time_[r] = t
-            ready.append(r)
-            while ready:
-                r = ready.pop()
-                j = cursor[r]
-                b = seg_off[r + 1]
-                t = time_[r]
-                sp = specials[r]
-                si = spec_ptr[r]
-                ns = len(sp)
-                while True:
-                    nxt = sp[si] if si < ns else b
-                    if nxt > j:
-                        t = sum(cyc[j:nxt], t)
-                        j = nxt
-                    if j >= b:
-                        break
-                    if kinds[j] == W:
-                        sig = by_slot_signal.get(slots[j])
-                        if sig is None:
-                            parks += 1
-                            waiters.setdefault(slots[j], []).append(r)
-                            break
-                        t = max(t, sig)
-                    else:
-                        t = t + cyc[j]
-                        slot = slots[j]
-                        if slot in by_slot_signal:
-                            raise SimulationError(
-                                "slot %d signalled twice" % slot
-                            )
-                        by_slot_signal[slot] = t
-                        for wr in waiters.pop(slot, []):
-                            ready.append(wr)
-                    j += 1
-                    si += 1
-                cursor[r] = j
-                spec_ptr[r] = si
-                time_[r] = t
-                if j >= b:
-                    finished[r] = True
-                    heappush(free_slots, (t, sm_slot[r]))
-
-        if not all(finished):
-            raise deadlock()
-
-    # --- pass B: vectorized per-segment recording ---------------------- #
-    cycles = arrays.cycles
-    nseg = np.diff(seg_off_arr)
-    wait_sig = np.zeros(S, dtype=np.float64)
-    wait_idx = np.flatnonzero(kinds_arr == W)
-    if wait_idx.size:
-        ps = np.fromiter(by_slot_signal, dtype=np.int64, count=len(by_slot_signal))
-        pt = np.fromiter(
-            by_slot_signal.values(), dtype=np.float64, count=len(by_slot_signal)
-        )
-        order = np.argsort(ps)
-        ps, pt = ps[order], pt[order]
-        # Every wait resolved (the run completed), so lookups all hit.
-        wait_sig[wait_idx] = pt[np.searchsorted(ps, arrays.slots[wait_idx])]
-
-    seg_start = np.zeros(S, dtype=np.float64)
-    seg_end = np.zeros(S, dtype=np.float64)
-    tcur = np.array(start, dtype=np.float64)
-    for p in range(int(nseg.max()) if n else 0):
-        sel = np.flatnonzero(nseg > p)
-        idx = seg_off_arr[sel] + p
-        tprev = tcur[sel]
-        end = tprev + cycles[idx]
-        w = kinds_arr[idx] == W
-        if w.any():
-            end[w] = np.maximum(tprev[w], wait_sig[idx[w]])
-        seg_start[idx] = tprev
-        seg_end[idx] = end
-        tcur[sel] = end
-
-    trace = ArrayTrace(
-        num_sm_slots,
-        arrays,
-        seg_start,
-        seg_end,
-        sm_slot=np.array(sm_slot, dtype=np.int64),
-        start=np.array(start, dtype=np.float64),
-        finish=np.array(time_, dtype=np.float64),
-    )
-    return trace, parks, len(by_slot_signal)
-
-
-def _run_event_loop_faulted(arrays: TaskArrays, num_sm_slots: int, faults):
     """The oracle's algorithm verbatim over flat arrays.
 
     No per-segment allocation: start/end times land in flat lists turned
-    into the ArrayTrace's arrays at the end.  Injector queries happen in
-    the oracle's exact order, so even the injection *log order* matches.
+    into the ArrayTrace's arrays at the end.  ``faults=None`` is the
+    pristine run; otherwise injector queries happen in the oracle's
+    exact order, so even the injection *log order* matches.
     """
-    import heapq
-
-    from ..errors import SimulationError
-
     n = arrays.num_ctas
     S = arrays.num_segments
     seg_off = arrays.seg_off.tolist()

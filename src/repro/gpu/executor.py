@@ -82,8 +82,8 @@ class Executor:
     null-config injector.
 
     ``backend`` selects the simulation core: ``"python"`` (this module —
-    the bitwise oracle), ``"numpy"`` or ``"numba"`` (the array backends
-    of :mod:`repro.gpu.backends`, bitwise identical and much faster).
+    the bitwise oracle) or ``"numpy"`` (the array event loop of
+    :mod:`repro.gpu.backends`, bitwise identical and much faster).
     ``None`` defers to the process default (CLI ``--executor`` flag,
     else the ``REPRO_EXECUTOR`` environment variable, else python).
     """
@@ -109,10 +109,7 @@ class Executor:
         backend = resolve_executor_backend(self.backend)
         if backend != "python":
             return run_task_arrays(
-                tasks_to_arrays(tasks),
-                self.num_sm_slots,
-                faults=self.faults,
-                backend=backend,
+                tasks_to_arrays(tasks), self.num_sm_slots, faults=self.faults
             )
         return self._run_python(tasks)
 
@@ -122,16 +119,10 @@ class Executor:
         The fast path for callers that price schedules straight into
         arrays (:meth:`~repro.gpu.costmodel.KernelCostModel.
         build_task_arrays`) — no task objects are ever built.  Always
-        runs an array backend: a ``python`` resolution executes the
-        (bitwise-identical) numpy core, since the oracle walks task
-        objects.
+        runs the (bitwise-identical) numpy event loop, whatever
+        ``backend`` says, since the oracle walks task objects.
         """
-        backend = resolve_executor_backend(self.backend)
-        if backend == "python":
-            backend = "numpy"
-        return run_task_arrays(
-            arrays, self.num_sm_slots, faults=self.faults, backend=backend
-        )
+        return run_task_arrays(arrays, self.num_sm_slots, faults=self.faults)
 
     def _run_python(self, tasks: "list[CtaTask]") -> ExecutionTrace:
         """The oracle: the original pure-Python discrete-event loop."""

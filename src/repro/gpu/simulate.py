@@ -104,11 +104,11 @@ def simulate_kernel(
         and raise :class:`~repro.errors.ProtocolViolation` on any breach
         of the partials/fixup carry protocol.
     executor:
-        Executor backend: ``"python"`` (the bitwise oracle), ``"numpy"``
-        or ``"numba"`` (vectorized, bitwise identical — see
+        Executor backend: ``"python"`` (the bitwise oracle) or
+        ``"numpy"`` (the array event loop, bitwise identical — see
         :mod:`repro.gpu.backends`).  ``None`` defers to the process
         default (CLI ``--executor``, else ``REPRO_EXECUTOR``, else
-        python).  Array backends price the schedule straight into
+        python).  The numpy backend prices the schedule straight into
         arrays, never building per-segment task objects.
     """
     if validate:

@@ -78,8 +78,8 @@ def run_schedule(
 ) -> MeasuredRun:
     """Validate, optionally execute numerically, and simulate a schedule.
 
-    ``executor`` selects the simulation backend (``python`` / ``numpy``
-    / ``numba``); ``None`` defers to the process default.
+    ``executor`` selects the simulation backend (``python`` or
+    ``numpy``); ``None`` defers to the process default.
     """
     schedule.validate()
     problem = schedule.grid.problem

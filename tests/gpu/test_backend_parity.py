@@ -1,13 +1,14 @@
-"""Executor backend differential suite: numpy/numba vs the Python oracle.
+"""Executor backend differential suite: numpy vs the Python oracle.
 
 The pure-Python discrete-event loop in :mod:`repro.gpu.executor` is the
-bitwise oracle; the array backends of :mod:`repro.gpu.backends` (and the
-optional numba kernel) must reproduce it **exactly** — identical
-``SegmentRecord`` timings, identical ``CtaRecord`` slot placements,
-identical ``DeadlockError`` wait-chain text, identical injector draw
-logs and counters — across every schedule family, every GPU preset, and
-every fault dimension.  Nothing here is approximate: every assertion is
-``==`` on floats.
+bitwise oracle; the array event loop of :mod:`repro.gpu.backends` must
+reproduce it **exactly** — identical ``SegmentRecord`` timings,
+identical ``CtaRecord`` slot placements, identical ``DeadlockError``
+wait-chain text, identical injector draw logs and counters — across
+every schedule family, every GPU preset, every fault dimension, and on
+both sides of the one-wave boundary
+(``num_ctas == num_sm_slots`` and ``num_sm_slots + 1``).  Nothing here
+is approximate: every assertion is ``==`` on floats.
 """
 
 import numpy as np
@@ -26,7 +27,6 @@ from repro.gpu import (
     set_default_executor,
     tasks_to_arrays,
 )
-from repro.gpu import backend_numba
 from repro.gpu.cta import CtaTask, SegmentKind, TimedSegment
 from repro.gpu.spec import GPU_PRESETS
 from repro.obs.counters import reset_counters, snapshot_counters
@@ -49,6 +49,11 @@ FAULTY = FaultConfig(
     preempt_penalty_cycles=150.0,
 )
 
+COUNTERS = tuple(
+    "executor." + key
+    for key in ("runs", "ctas", "segments", "spin_waits", "signals")
+)
+
 PROBLEMS = [
     GemmProblem(384, 384, 512, dtype=FP16_FP32),
     GemmProblem(100, 70, 530, dtype=FP16_FP32),  # ragged: partial waves
@@ -63,24 +68,51 @@ def _build(name, spec, problem, dtype=FP16_FP32):
     return schedule, cost
 
 
-def _oracle_run(schedule, cost, spec, config):
+def _oracle_run(schedule, cost, slots, config):
     reset_counters()
     inj = FaultInjector(config) if config else None
     tasks = cost.build_tasks(schedule, faults=inj)
-    trace = Executor(spec.total_cta_slots, faults=inj, backend="python").run(
-        tasks
-    )
+    trace = Executor(slots, faults=inj, backend="python").run(tasks)
     return trace, inj, snapshot_counters()
 
 
-def _array_run(schedule, cost, spec, config, backend="numpy"):
+def _array_run(schedule, cost, slots, config):
     reset_counters()
     inj = FaultInjector(config) if config else None
     arrays = cost.build_task_arrays(schedule, faults=inj)
-    trace = Executor(spec.total_cta_slots, faults=inj, backend=backend).run_arrays(
-        arrays
-    )
+    trace = Executor(slots, faults=inj, backend="numpy").run_arrays(arrays)
     return trace, inj, snapshot_counters()
+
+
+def _slot_counts(spec, schedule, cost):
+    """The preset's slot count, plus the one-wave boundary: every CTA
+    resident at once (``num_ctas == slots``) and one CTA left waiting
+    for a free slot (``num_ctas == slots + 1``)."""
+    n = cost.build_task_arrays(schedule).num_ctas
+    return sorted({spec.total_cta_slots, n, max(n - 1, 1)}, reverse=True)
+
+
+def _chain_tasks(n):
+    """Hand-built chain: CTA i fixes up CTA i-1's partials *before*
+    publishing its own, so every wait precedes its CTA's signal and
+    targets a producer that launched earlier."""
+    tasks = []
+    for i in range(n):
+        segs = [
+            TimedSegment(SegmentKind.PROLOGUE, 10.0 + i),
+            TimedSegment(SegmentKind.COMPUTE, 30.0 + 7.0 * (i % 3)),
+        ]
+        if i:
+            segs += [
+                TimedSegment(SegmentKind.WAIT, 0.0, i - 1),
+                TimedSegment(SegmentKind.FIXUP, 5.0, i - 1),
+            ]
+        segs += [
+            TimedSegment(SegmentKind.STORE_PARTIALS, 5.0),
+            TimedSegment(SegmentKind.SIGNAL, 0.0, i),
+        ]
+        tasks.append(CtaTask(cta=i, segments=tuple(segs)))
+    return tasks
 
 
 def assert_traces_identical(a, b, ctx=""):
@@ -101,11 +133,13 @@ class TestTraceParity:
         spec = GPU_PRESETS[preset]
         for problem in PROBLEMS:
             schedule, cost = _build(name, spec, problem)
-            oracle, _, oc = _oracle_run(schedule, cost, spec, None)
-            fast, _, fc = _array_run(schedule, cost, spec, None)
-            assert_traces_identical(oracle, fast, "%s/%s" % (name, preset))
-            for key in ("runs", "ctas", "segments", "spin_waits", "signals"):
-                assert oc["executor." + key] == fc["executor." + key], key
+            for slots in _slot_counts(spec, schedule, cost):
+                ctx = "%s/%s/slots=%d" % (name, preset, slots)
+                oracle, _, oc = _oracle_run(schedule, cost, slots, None)
+                fast, _, fc = _array_run(schedule, cost, slots, None)
+                assert_traces_identical(oracle, fast, ctx)
+                for key in COUNTERS:
+                    assert oc[key] == fc[key], (ctx, key)
 
     @pytest.mark.parametrize("preset", PRESETS)
     @pytest.mark.parametrize("name", DECOMPOSITION_NAMES)
@@ -113,10 +147,12 @@ class TestTraceParity:
         spec = GPU_PRESETS[preset]
         for problem in PROBLEMS:
             schedule, cost = _build(name, spec, problem)
-            oracle, oi, _ = _oracle_run(schedule, cost, spec, FAULTY)
-            fast, fi, _ = _array_run(schedule, cost, spec, FAULTY)
-            assert_traces_identical(oracle, fast, "%s/%s" % (name, preset))
-            assert oi.injection_counts() == fi.injection_counts()
+            for slots in _slot_counts(spec, schedule, cost):
+                ctx = "%s/%s/slots=%d" % (name, preset, slots)
+                oracle, oi, _ = _oracle_run(schedule, cost, slots, FAULTY)
+                fast, fi, _ = _array_run(schedule, cost, slots, FAULTY)
+                assert_traces_identical(oracle, fast, ctx)
+                assert oi.injection_counts() == fi.injection_counts()
 
     @pytest.mark.parametrize(
         "dimension",
@@ -135,8 +171,9 @@ class TestTraceParity:
         spec = GPU_PRESETS["a100"]
         for name in DECOMPOSITION_NAMES:
             schedule, cost = _build(name, spec, PROBLEMS[1])
-            oracle, oi, _ = _oracle_run(schedule, cost, spec, dimension)
-            fast, fi, _ = _array_run(schedule, cost, spec, dimension)
+            slots = spec.total_cta_slots
+            oracle, oi, _ = _oracle_run(schedule, cost, slots, dimension)
+            fast, fi, _ = _array_run(schedule, cost, slots, dimension)
             assert_traces_identical(oracle, fast, name)
             assert oi.injection_counts() == fi.injection_counts()
 
@@ -145,13 +182,16 @@ class TestTraceParity:
         problem = GemmProblem(96, 96, 120, dtype=FP64)
         for name in DECOMPOSITION_NAMES:
             schedule, cost = _build(name, spec, problem, dtype=FP64)
-            oracle, _, _ = _oracle_run(schedule, cost, spec, None)
-            fast, _, _ = _array_run(schedule, cost, spec, None)
+            slots = spec.total_cta_slots
+            oracle, _, _ = _oracle_run(schedule, cost, slots, None)
+            fast, _, _ = _array_run(schedule, cost, slots, None)
             assert_traces_identical(oracle, fast, name)
 
     def test_tasks_to_arrays_roundtrip(self):
-        """run(tasks) under an array backend (tasks -> arrays conversion)
-        equals both the oracle and the direct build_task_arrays path."""
+        """run(tasks) under the numpy backend (tasks -> arrays conversion)
+        equals both the oracle and the direct build_task_arrays path; a
+        hand-built wait-before-signal chain matches the oracle on both
+        sides of the one-wave boundary, pristine and faulted."""
         spec = GPU_PRESETS["a100"]
         schedule, cost = _build("stream_k", spec, PROBLEMS[0])
         tasks = cost.build_tasks(schedule)
@@ -162,6 +202,17 @@ class TestTraceParity:
         )
         assert_traces_identical(oracle, via_tasks)
         assert_traces_identical(oracle, direct)
+
+        chain = _chain_tasks(6)
+        for slots in (6, 5):
+            for config in (None, FAULTY):
+                oi = FaultInjector(config) if config else None
+                fi = FaultInjector(config) if config else None
+                a = execute_tasks(chain, slots, faults=oi, backend="python")
+                b = execute_tasks(chain, slots, faults=fi, backend="numpy")
+                assert_traces_identical(a, b, "chain/slots=%d" % slots)
+                if config:
+                    assert oi.injection_counts() == fi.injection_counts()
 
 
 class TestDeadlockParity:
@@ -180,24 +231,23 @@ class TestDeadlockParity:
             except DeadlockError as e:
                 return ("deadlock", str(e))
 
-        reset_counters()
-        oi = FaultInjector(config)
-        tasks = cost.build_tasks(schedule, faults=oi)
-        a = outcome(
-            lambda: Executor(
-                spec.total_cta_slots, faults=oi, backend="python"
-            ).run(tasks)
-        )
-        reset_counters()
-        fi = FaultInjector(config)
-        arrays = cost.build_task_arrays(schedule, faults=fi)
-        b = outcome(
-            lambda: Executor(
-                spec.total_cta_slots, faults=fi, backend="numpy"
-            ).run_arrays(arrays)
-        )
-        assert a == b, "%s/%s" % (name, preset)
-        assert oi.injection_counts() == fi.injection_counts()
+        for slots in _slot_counts(spec, schedule, cost):
+            reset_counters()
+            oi = FaultInjector(config)
+            tasks = cost.build_tasks(schedule, faults=oi)
+            a = outcome(
+                lambda: Executor(slots, faults=oi, backend="python").run(tasks)
+            )
+            reset_counters()
+            fi = FaultInjector(config)
+            arrays = cost.build_task_arrays(schedule, faults=fi)
+            b = outcome(
+                lambda: Executor(slots, faults=fi, backend="numpy").run_arrays(
+                    arrays
+                )
+            )
+            assert a == b, "%s/%s/slots=%d" % (name, preset, slots)
+            assert oi.injection_counts() == fi.injection_counts()
 
     def test_waiter_before_producer_without_faults(self):
         """A hand-built waiter-first task list deadlocks identically."""
@@ -233,11 +283,24 @@ class TestDeadlockParity:
             )
 
         tasks = [cta(0, 1), cta(1, 0)]
-        with pytest.raises(DeadlockError) as py_err:
-            execute_tasks(tasks, 4, backend="python")
-        with pytest.raises(DeadlockError) as np_err:
-            execute_tasks(tasks, 4, backend="numpy")
-        assert str(py_err.value) == str(np_err.value)
+        # 2 slots: both CTAs resident; 1 slot: CTA 1 never launches.
+        for slots in (4, 2, 1):
+            for config in (None, FAULTY):
+                with pytest.raises(DeadlockError) as py_err:
+                    execute_tasks(
+                        tasks,
+                        slots,
+                        faults=FaultInjector(config) if config else None,
+                        backend="python",
+                    )
+                with pytest.raises(DeadlockError) as np_err:
+                    execute_tasks(
+                        tasks,
+                        slots,
+                        faults=FaultInjector(config) if config else None,
+                        backend="numpy",
+                    )
+                assert str(py_err.value) == str(np_err.value), slots
 
     def test_double_signal_rejected_with_oracle_message(self):
         """CtaTask validation makes a double signal unreachable from task
@@ -253,56 +316,10 @@ class TestDeadlockParity:
             np.array([10.0, 0.0, 10.0, 0.0]),
             np.array([-1, 3, -1, 3]),
         )
-        with pytest.raises(SimulationError, match="slot 3 signalled twice"):
-            run_task_arrays(arrays, 4)
-
-
-class TestNumbaKernel:
-    """The (possibly un-jitted) numba event loop is parity-tested even on
-    machines without numba: the plain-Python function runs the same
-    algorithm over the same primitive arrays."""
-
-    @pytest.mark.parametrize("name", DECOMPOSITION_NAMES)
-    def test_kernel_matches_oracle(self, name):
-        spec = GPU_PRESETS["a100"]
-        for problem in PROBLEMS:
-            schedule, cost = _build(name, spec, problem)
-            tasks = cost.build_tasks(schedule)
-            oracle = Executor(spec.total_cta_slots, backend="python").run(tasks)
-            trace, parks, n_pub = backend_numba.run(
-                cost.build_task_arrays(schedule), spec.total_cta_slots
-            )
-            assert_traces_identical(oracle, trace, name)
-
-    def test_multiwave_kernel_matches_oracle(self):
-        spec = GPU_PRESETS["hypothetical_4sm"]
-        schedule, cost = _build(
-            "data_parallel", spec, GemmProblem(160, 160, 64, dtype=FP64), FP64
-        )
-        tasks = cost.build_tasks(schedule)
-        oracle = Executor(spec.total_cta_slots, backend="python").run(tasks)
-        trace, _, _ = backend_numba.run(
-            cost.build_task_arrays(schedule), spec.total_cta_slots
-        )
-        assert_traces_identical(oracle, trace)
-
-    def test_usable_gates_on_faults(self):
-        spec = GPU_PRESETS["a100"]
-        schedule, cost = _build("stream_k", spec, PROBLEMS[0])
-        arrays = cost.build_task_arrays(schedule)
-        assert not backend_numba.usable(arrays, FaultInjector(FAULTY))
-        if not backend_numba.HAS_NUMBA:
-            assert not backend_numba.usable(arrays, None)
-
-    def test_numba_backend_dispatch_never_fails(self):
-        """backend='numba' must run (via fallback when numba is absent)
-        and agree with the oracle."""
-        spec = GPU_PRESETS["a100"]
-        schedule, cost = _build("two_tile_stream_k", spec, PROBLEMS[1])
-        tasks = cost.build_tasks(schedule)
-        oracle = Executor(spec.total_cta_slots, backend="python").run(tasks)
-        fast = Executor(spec.total_cta_slots, backend="numba").run(tasks)
-        assert_traces_identical(oracle, fast)
+        message = "slot 3 signalled twice"
+        for slots in (4, 2, 1):
+            with pytest.raises(SimulationError, match=message):
+                run_task_arrays(arrays, slots)
 
 
 class TestBackendResolution:
@@ -326,23 +343,18 @@ class TestBackendResolution:
         set_default_executor("numpy")
         assert resolve_executor_backend(None) == "numpy"
 
-    def test_numba_falls_back_without_numba(self):
-        resolved = resolve_executor_backend("numba")
-        if backend_numba.HAS_NUMBA:
-            assert resolved == "numba"
-        else:
-            assert resolved == "numpy"
-
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_executor_backend("fortran")
-        with pytest.raises(ConfigurationError):
-            set_default_executor("fortran")
+        for name in ("fortran", "numba"):
+            with pytest.raises(ConfigurationError):
+                resolve_executor_backend(name)
+            with pytest.raises(ConfigurationError):
+                set_default_executor(name)
 
     def test_bad_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "cuda")
-        with pytest.raises(ConfigurationError):
-            resolve_executor_backend(None)
+        for value in ("cuda", "numba"):
+            monkeypatch.setenv("REPRO_EXECUTOR", value)
+            with pytest.raises(ConfigurationError):
+                resolve_executor_backend(None)
 
     def test_backend_counter_published(self):
         spec = GPU_PRESETS["hypothetical_4sm"]

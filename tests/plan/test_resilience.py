@@ -657,9 +657,13 @@ class TestPlanClientHedging:
             srv.close()
 
     def test_retries_synthesize_timeout_code_on_dead_server(self):
-        srv = _stub_server(first_reply_delay_s=0.0)
-        host, port = srv.getsockname()
-        srv.close()  # nothing listening anymore
+        # A port that was bound but never listened on: connections are
+        # refused.  (Closing a listening stub is not enough — its blocked
+        # accept() thread can keep taking connections after close().)
+        dead = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        dead.bind(("127.0.0.1", 0))
+        host, port = dead.getsockname()
+        dead.close()
         with PlanClient(
             host, port, timeout_s=0.2,
             retry=RetryPolicy(max_retries=2, base_backoff_s=0.001),
