@@ -8,7 +8,7 @@ times both ends of that contract — ``build_tasks`` + oracle run against
 decomposition at two problem sizes, checks the traces agree bitwise,
 and records segment throughput.
 
-Two numbers per cell, following ``bench_corpus_eval``'s convention:
+Two numbers per pristine cell, following ``bench_corpus_eval``'s convention:
 
 * **cold** — first simulation of a fresh schedule.  Pays the work-item
   flattening that :func:`~repro.schedules.flatten.flatten_work_items`
@@ -16,6 +16,12 @@ Two numbers per cell, following ``bench_corpus_eval``'s convention:
 * **warm** — steady-state re-simulation (min over ``REPRO_BENCH_ROUNDS``
   rounds), the cost every *additional* pricing of the same schedule
   pays: a fault-sweep cell, a backend comparison, a repeated run.
+
+Faulted cells (every family and size at straggler severities
+:data:`FAULT_SEVERITIES`, a fresh seeded injector per run) time the same
+two ends under fault injection, where both backends consult the
+injector per segment.  They record whether the numpy loop still pays
+once faults are on; no floor gates them.
 
 The artifact lands under ``benchmarks/artifacts/`` and, for a full-scale
 run, as ``BENCH_executor.json`` at the repo root (the committed
@@ -28,6 +34,7 @@ without tripping on box noise.
 
 import os
 
+from repro.faults import FaultConfig, FaultInjector
 from repro.faults.sweep import build_registered_schedule
 from repro.gemm import FP64, Blocking, GemmProblem, TileGrid
 from repro.gpu import A100, Executor, KernelCostModel
@@ -48,6 +55,8 @@ FULL_SPEEDUP_FLOOR = 10.0
 #: Reduced-scale CI floor — about two thirds of the measured smoke-scale
 #: speedup, so a ~1.5x backend regression fails the perf smoke job.
 SMOKE_SPEEDUP_FLOOR = 5.0
+#: Straggler sweep severities of the faulted cells (recorded, not gated).
+FAULT_SEVERITIES = (0.5, 1.0)
 
 ROOT_ARTIFACT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -110,15 +119,60 @@ def run_backend_grid(sizes, rounds):
     return cells
 
 
+def run_faulted_grid(sizes, rounds):
+    """Time oracle vs numpy backend on faulted cells; return cells."""
+    blocking = Blocking(*FP64.default_blocking)
+    cost = KernelCostModel(gpu=A100, blocking=blocking, dtype=FP64)
+    slots = A100.total_cta_slots
+    cells = []
+    for mn in sizes:
+        grid = TileGrid(GemmProblem(mn, mn, _K, dtype=FP64), blocking)
+        for name in DECOMPOSITION_NAMES:
+            schedule = build_registered_schedule(name, grid, A100)
+            for severity in FAULT_SEVERITIES:
+                config = FaultConfig.straggler_sweep_point(severity, seed=0)
+
+                def oracle():
+                    inj = FaultInjector(config)
+                    return Executor(slots, faults=inj, backend="python").run(
+                        cost.build_tasks(schedule, faults=inj)
+                    )
+
+                def fast():
+                    inj = FaultInjector(config)
+                    return Executor(slots, faults=inj).run_arrays(
+                        cost.build_task_arrays(schedule, faults=inj)
+                    )
+
+                fast()  # warm the flattening memo, as a sweep cell finds it
+                oracle_t = min_of_k(oracle, k=rounds)
+                fast_t = min_of_k(fast, k=rounds)
+                assert fast().makespan == oracle().makespan
+                cells.append(
+                    {
+                        "family": name,
+                        "mn": mn,
+                        "k": _K,
+                        "severity": severity,
+                        "oracle_s": oracle_t,
+                        "fast_s": fast_t,
+                        "speedup": oracle_t["best_s"] / fast_t["best_s"],
+                    }
+                )
+    return cells
+
+
 def test_executor_backend_throughput(benchmark):
     sizes = _size_grid()
     rounds = _rounds()
     cells = benchmark.pedantic(
         run_backend_grid, args=(sizes, rounds), rounds=1, iterations=1
     )
+    faulted = run_faulted_grid(sizes, rounds)
     full = sizes == FULL_MN
     geo_cold = geomean(c["speedup_cold"] for c in cells)
     geo_warm = geomean(c["speedup_warm"] for c in cells)
+    geo_faulted = geomean(c["speedup"] for c in faulted)
 
     banner("Executor backends: oracle vs numpy (%d cells)" % len(cells))
     print(
@@ -147,6 +201,26 @@ def test_executor_backend_throughput(benchmark):
             "full" if full else "smoke",
         )
     )
+    print()
+    print(
+        "%-22s %6s %8s  %9s %9s  %7s"
+        % ("faulted family", "m=n", "severity", "oracle", "numpy", "speedup")
+    )
+    for c in faulted:
+        print(
+            "%-22s %6d %8.2f  %8.4fs %8.4fs  %6.1fx"
+            % (
+                c["family"],
+                c["mn"],
+                c["severity"],
+                c["oracle_s"]["best_s"],
+                c["fast_s"]["best_s"],
+                c["speedup"],
+            )
+        )
+    print(
+        "geomean faulted speedup: %5.1fx  (recorded, not gated)" % geo_faulted
+    )
 
     payload = {
         "sizes": list(sizes),
@@ -156,6 +230,9 @@ def test_executor_backend_throughput(benchmark):
         "geomean_speedup_cold": geo_cold,
         "geomean_speedup_warm": geo_warm,
         "speedup_floor": FULL_SPEEDUP_FLOOR if full else SMOKE_SPEEDUP_FLOOR,
+        "fault_severities": list(FAULT_SEVERITIES),
+        "faulted_cells": faulted,
+        "geomean_speedup_faulted": geo_faulted,
     }
     emit("executor", payload)
     if full:

@@ -35,7 +35,14 @@ from ..obs.counters import inc_counter
 from ..obs.profiler import span
 from ..schedules.flatten import KIND_NAMES, KIND_SIGNAL, KIND_WAIT
 from .cta import SegmentKind
-from .trace import CtaRecord, ExecutionTrace, SegmentRecord
+from .trace import (
+    CODE_TO_KIND,
+    KIND_TO_CODE,
+    CtaRecord,
+    ExecutionTrace,
+    SegmentColumns,
+    SegmentRecord,
+)
 
 __all__ = [
     "EXECUTOR_BACKENDS",
@@ -49,11 +56,9 @@ __all__ = [
     "tasks_to_arrays",
 ]
 
-#: Integer code -> SegmentKind, index-aligned with the flattener's codes.
-CODE_TO_KIND = tuple(SegmentKind)
+# The trace's kind codes must index-align with the flattener's.
 if tuple(k.value for k in CODE_TO_KIND) != KIND_NAMES:  # pragma: no cover
     raise AssertionError("segment-kind codes drifted from SegmentKind")
-KIND_TO_CODE = {k: i for i, k in enumerate(CODE_TO_KIND)}
 
 EXECUTOR_BACKENDS = ("python", "numpy")
 _ENV_VAR = "REPRO_EXECUTOR"
@@ -177,10 +182,11 @@ def tasks_to_arrays(tasks) -> TaskArrays:
 class ArrayTrace(ExecutionTrace):
     """An :class:`~repro.gpu.trace.ExecutionTrace` backed by arrays.
 
-    ``makespan`` comes straight from the finish-time array; the
+    ``makespan`` comes straight from the finish-time array and
+    :meth:`segment_columns` from the segment arrays; the
     :class:`~repro.gpu.trace.CtaRecord` list materializes lazily on
-    first access to ``ctas``, so throughput paths (benchmarks, corpus
-    sweeps reading only the makespan) never pay for per-segment record
+    first access to ``ctas``, so throughput paths (benchmarks, fault
+    sweeps and their invariant checks) never pay for per-segment record
     objects.  Once materialized, records are bitwise identical to the
     oracle's — same values, same ordering (sorted by CTA id).
     """
@@ -212,6 +218,18 @@ class ArrayTrace(ExecutionTrace):
         if self._finish.shape[0] == 0:
             return 0.0
         return float(self._finish.max())
+
+    def segment_columns(self) -> SegmentColumns:
+        a = self._arrays
+        return SegmentColumns.sorted_by_cta(
+            a.ctas,
+            a.seg_off,
+            self._start,
+            a.kinds,
+            self._seg_start,
+            self._seg_end,
+            a.slots,
+        )
 
     def _materialize(self) -> "list[CtaRecord]":
         a = self._arrays

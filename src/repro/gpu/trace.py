@@ -11,15 +11,34 @@ Traces have two renderers: the ASCII Gantt charts in
 as Chrome/Perfetto ``trace_event`` JSON (one track per SM slot, colored
 segment kinds, spin-waits flagged red) — ``python -m repro trace`` on the
 command line, schema contract in ``docs/TRACING.md``.
+
+For whole-trace analysis (the protocol invariant checker),
+:meth:`ExecutionTrace.segment_columns` lowers a trace to
+:class:`SegmentColumns`, CSR arrays that every trace type can produce
+without building per-segment objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .cta import SegmentKind
 
-__all__ = ["SegmentRecord", "CtaRecord", "ExecutionTrace"]
+__all__ = [
+    "CODE_TO_KIND",
+    "KIND_TO_CODE",
+    "SegmentRecord",
+    "CtaRecord",
+    "ExecutionTrace",
+    "SegmentColumns",
+]
+
+#: Integer code -> SegmentKind (declaration order), and back.  The
+#: schedule flattener's ``KIND_*`` codes use the same order.
+CODE_TO_KIND = tuple(SegmentKind)
+KIND_TO_CODE = {k: i for i, k in enumerate(CODE_TO_KIND)}
 
 
 @dataclass(frozen=True)
@@ -57,6 +76,48 @@ class CtaRecord:
     def busy_cycles(self) -> float:
         """Cycles doing intrinsic work (everything but waits)."""
         return (self.finish - self.start) - self.wait_cycles
+
+
+@dataclass(frozen=True, eq=False)
+class SegmentColumns:
+    """A trace's segments as CSR columns, rows sorted by CTA id.
+
+    Per CTA row: ``cta`` (int64), ``cta_start`` (float64) and the row
+    pointers ``seg_off`` (one longer; row ``i`` owns segments
+    ``seg_off[i]:seg_off[i+1]``).  Per segment: ``kind``
+    (:data:`KIND_TO_CODE` codes, int8), ``seg_start``/``seg_end``
+    (float64 cycles) and ``slot`` (int64, -1 for none).
+    """
+
+    cta: np.ndarray
+    seg_off: np.ndarray
+    cta_start: np.ndarray
+    kind: np.ndarray
+    seg_start: np.ndarray
+    seg_end: np.ndarray
+    slot: np.ndarray
+
+    @classmethod
+    def sorted_by_cta(
+        cls, cta, seg_off, cta_start, kind, seg_start, seg_end, slot
+    ) -> "SegmentColumns":
+        """Build from rows in any order, stably permuting them by CTA id."""
+        order = np.argsort(cta, kind="stable")
+        if np.array_equal(order, np.arange(order.shape[0])):
+            return cls(cta, seg_off, cta_start, kind, seg_start, seg_end, slot)
+        lengths = np.diff(seg_off)[order]
+        off = np.concatenate(([0], np.cumsum(lengths)))
+        idx = np.repeat(seg_off[order] - off[:-1], lengths)
+        idx += np.arange(off[-1])
+        return cls(
+            cta[order],
+            off,
+            cta_start[order],
+            kind[idx],
+            seg_start[idx],
+            seg_end[idx],
+            slot[idx],
+        )
 
 
 @dataclass
@@ -105,6 +166,34 @@ class ExecutionTrace:
             for s in c.segments:
                 rows.append((c.sm_slot, c.cta, s.start, s.end, s.kind.value))
         return rows
+
+    def segment_columns(self) -> SegmentColumns:
+        """The trace as :class:`SegmentColumns`, in one walk of ``ctas``."""
+        ctas: "list[int]" = []
+        offs: "list[int]" = [0]
+        starts: "list[float]" = []
+        kinds: "list[int]" = []
+        seg_start: "list[float]" = []
+        seg_end: "list[float]" = []
+        slots: "list[int]" = []
+        for rec in self.ctas:
+            ctas.append(rec.cta)
+            starts.append(rec.start)
+            for s in rec.segments:
+                kinds.append(KIND_TO_CODE[s.kind])
+                seg_start.append(s.start)
+                seg_end.append(s.end)
+                slots.append(-1 if s.slot is None else s.slot)
+            offs.append(len(kinds))
+        return SegmentColumns.sorted_by_cta(
+            np.array(ctas, dtype=np.int64),
+            np.array(offs, dtype=np.int64),
+            np.array(starts, dtype=np.float64),
+            np.array(kinds, dtype=np.int8),
+            np.array(seg_start, dtype=np.float64),
+            np.array(seg_end, dtype=np.float64),
+            np.array(slots, dtype=np.int64),
+        )
 
     def cta_record(self, cta: int) -> CtaRecord:
         for c in self.ctas:
