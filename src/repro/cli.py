@@ -13,7 +13,7 @@ Commands
 ``faults``     straggler-severity x schedule fault sweep (docs/FAULTS.md)
 ``crosshw``    schedule comparison across several GPUs (docs/HARDWARE.md)
 ``sweep``      durable corpus sweep: WAL journal, ``--resume``, chaos
-               kill, multi-worker lease fabric (``--workers``/``--join``)
+               kill, multi-worker lease fabric (``--jobs N``/``--join``)
                (docs/CHECKPOINTING.md)
 ``serve``      long-running plan server: micro-batched queries, tiered
                plan cache, JSONL-over-TCP protocol (docs/SERVING.md);
@@ -127,11 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the sweep (0 = all cores, default 1)",
     )
     _add_journal(p)
-    p.add_argument(
-        "--max-shard-seconds", type=float, default=None, metavar="S",
-        help="watchdog deadline per shard before it is abandoned and "
-        "retried (default 300)",
-    )
 
     p = sub.add_parser("calibrate", help="print {a, b, c, d}")
     _add_common(p)
@@ -232,8 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--size", type=int, default=2000, help="corpus slice size")
     p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the sweep (0 = all cores, default 1)",
+        "--jobs", "--workers", dest="jobs", type=int, default=1,
+        metavar="N",
+        help="lease-fabric worker processes that claim shards from the "
+        "journal, with heartbeat/lease-expiry reclaim of dead workers' "
+        "shards (0 = all cores, default 1 = in-process; "
+        "docs/CHECKPOINTING.md)",
     )
     p.add_argument(
         "--shard-rows", type=int, default=None, metavar="R",
@@ -241,21 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_journal(p)
     p.add_argument(
-        "--max-shard-seconds", type=float, default=None, metavar="S",
-        help="watchdog deadline per shard before it is abandoned and "
-        "retried (default 300)",
-    )
-    p.add_argument(
         "--chaos-kill-after", type=int, default=None, metavar="K",
         help="chaos mode: SIGKILL this process right after the K-th shard "
         "completion is durably journaled (testing the resume contract)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=None, metavar="W",
-        help="lease fabric: launch W cooperating worker processes that "
-        "claim shards from the shared journal, with heartbeat/lease-expiry "
-        "reclaim of dead workers' shards (requires a journal; "
-        "docs/CHECKPOINTING.md)",
     )
     p.add_argument(
         "--join", default=None, metavar="DIR",
@@ -276,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--chaos-worker-kill", default=None, metavar="POINT[:K]",
         help="chaos mode: SIGKILL one fabric worker at its K-th "
-        "claim/eval/commit boundary (worker 0 under --workers, this "
+        "claim/eval/commit boundary (worker 0 under --jobs N, this "
         "process under --join)",
     )
     p.add_argument(
@@ -604,20 +591,8 @@ def _cmd_model(args) -> int:
     return 0
 
 
-def _corpus_eval_kwargs(args) -> dict:
-    """Journal/watchdog kwargs shared by ``corpus`` and ``sweep``."""
-    from .harness.journal import default_journal_dir
-
-    kwargs: dict = {
-        "journal": args.journal or default_journal_dir(),
-        "resume": args.resume,
-    }
-    if getattr(args, "max_shard_seconds", None) is not None:
-        kwargs["shard_timeout"] = args.max_shard_seconds
-    return kwargs
-
-
 def _cmd_corpus(args) -> int:
+    from .harness.journal import default_journal_dir
     from .harness.parallel import evaluate_corpus_sharded
     from .metrics.report import format_relative_table
     from .metrics.stats import relative_performance
@@ -625,7 +600,8 @@ def _cmd_corpus(args) -> int:
     dtype, gpu = get_dtype_config(args.dtype), resolve_gpu(args.gpu)
     shapes = generate_corpus(CorpusSpec(size=args.size))
     res = evaluate_corpus_sharded(
-        shapes, dtype, gpu, jobs=args.jobs, **_corpus_eval_kwargs(args)
+        shapes, dtype, gpu, jobs=args.jobs,
+        journal=args.journal or default_journal_dir(), resume=args.resume,
     )
     cb = compute_bound_mask(shapes, dtype)
     cols = {
@@ -809,7 +785,7 @@ def _cmd_sweep(args) -> int:
     from .errors import ConfigurationError
     from .faults.chaos import ChaosKill, ChaosWorkerKill
     from .harness.journal import default_journal_dir, write_timings_npz
-    from .harness.parallel import evaluate_corpus_sharded
+    from .harness.parallel import _resolve_jobs, evaluate_corpus_sharded
     from .metrics.report import format_relative_table
     from .metrics.stats import relative_performance
     from .obs.counters import get_counter
@@ -826,7 +802,7 @@ def _cmd_sweep(args) -> int:
         if args.chaos_kill_after is not None
         else None
     )
-    fabric_mode = args.join is not None or (args.workers or 0) > 1
+    fabric_mode = args.join is not None or _resolve_jobs(args.jobs) > 1
     chaos_worker = None
     if args.chaos_worker_kill is not None:
         # Validate the spec up front so a typo fails fast instead of
@@ -835,7 +811,8 @@ def _cmd_sweep(args) -> int:
         if not fabric_mode:
             raise ConfigurationError(
                 "--chaos-worker-kill targets lease-fabric workers: "
-                "combine it with --workers N or --join DIR"
+                "combine it with --jobs N / --workers N or --join DIR "
+                "(N > 1)"
             )
     shapes = generate_corpus(CorpusSpec(size=args.size))
     res = evaluate_corpus_sharded(
@@ -844,24 +821,16 @@ def _cmd_sweep(args) -> int:
         gpu,
         jobs=args.jobs,
         shard_rows=args.shard_rows,
-        shard_timeout=(
-            args.max_shard_seconds
-            if args.max_shard_seconds is not None
-            else 300.0
-        ),
         journal=journal_dir,
         resume=args.resume or args.join is not None,
         chaos=chaos,
-        workers=args.workers,
         join=args.join is not None,
         lease_seconds=args.lease_seconds,
         heartbeat_seconds=args.heartbeat_seconds,
         chaos_worker=chaos_worker,
     )
     skipped = get_counter("journal.skipped_shards")
-    evaluated = get_counter("harness.shards_ok") + (
-        get_counter("harness.shard_serial_fallbacks")
-    )
+    evaluated = get_counter("harness.shards_ok")
     print("journal    : %s" % journal_dir)
     print("shards     : %d skipped (journal), %d evaluated%s"
           % (skipped, evaluated,

@@ -96,8 +96,8 @@ class SweepInterrupted(ReproError):
 
     Raised by :func:`repro.harness.parallel.evaluate_corpus_sharded`
     after the drain handler fires: dispatch of new shards stopped,
-    already-received completions were journaled (when a journal is
-    attached), and the worker pool was terminated and joined.  The CLI
+    completions so far stay journaled (when a journal is attached), and
+    the worker processes were terminated and joined.  The CLI
     maps this to the distinct *resumable* exit status
     (:data:`repro.harness.journal.RESUMABLE_EXIT_STATUS`); re-run with
     ``--resume`` to pick the sweep back up from the journal.

@@ -25,7 +25,7 @@ that claim testable on the simulator:
   injection for the durable sweep engine: SIGKILL the harness right
   after the K-th journaled shard completion (``repro sweep
   --chaos-kill-after K``), or SIGKILL one lease-fabric worker at a
-  claim/eval/commit boundary (``repro sweep --workers N
+  claim/eval/commit boundary (``repro sweep --jobs N
   --chaos-worker-kill POINT[:K]``, docs/CHECKPOINTING.md).
 
 Determinism contract: all randomness derives from

@@ -15,10 +15,11 @@ Three layers, by scale:
   with :mod:`~repro.harness.journal` underneath for durability: a
   write-ahead shard journal so killed sweeps resume bitwise-identically
   (``repro sweep``, docs/CHECKPOINTING.md), and
-  :mod:`~repro.harness.fabric` on top for horizontal scale: a
-  lease-based multi-worker fabric where processes *claim* shards from
-  the shared journal (``repro sweep --workers N`` / ``--join DIR``)
-  and dead workers' shards are reclaimed after lease expiry.
+  :mod:`~repro.harness.fabric` on top for horizontal scale: the one
+  multi-process path, a lease-based fabric where worker processes
+  *claim* shards from the shared journal (``repro sweep --jobs N`` /
+  ``--join DIR``) and dead workers' shards are reclaimed after lease
+  expiry.
 
 :mod:`~repro.harness.experiments` packages these as one entry point per
 paper artifact (``fig1_...``–``fig9_...``, ``relative_performance_table``);
@@ -49,7 +50,7 @@ from .experiments import (
     relative_performance_table,
     roofline_landscapes,
 )
-from .fabric import LeaseManager, fabric_sweep, join_sweep, make_worker_id
+from .fabric import LeaseManager, join_sweep, make_worker_id
 from .io import timings_to_rows, write_csv, write_json
 from .journal import (
     RESUMABLE_EXIT_STATUS,
@@ -95,7 +96,6 @@ __all__ = [
     "evaluate_corpus",
     "evaluate_corpus_cached",
     "evaluate_corpus_sharded",
-    "fabric_sweep",
     "join_sweep",
     "make_worker_id",
     "merge_timings",

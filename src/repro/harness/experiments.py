@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..corpus.filters import compute_bound_mask, ops_per_byte
+from ..errors import ConfigurationError
 from ..corpus.generator import PAPER_CORPUS, CorpusSpec, generate_corpus
 from ..gemm.dtypes import FP16_FP32, FP64, DtypeConfig
 from ..gemm.problem import GemmProblem
@@ -51,6 +52,25 @@ __all__ = [
 _ILLUSTRATION_BLOCKING = Blocking(128, 128, 4)
 _ILLUSTRATION_BLOCKING_HALF = Blocking(128, 64, 4)
 
+_ENV_JOBS = "REPRO_JOBS"
+
+def _env_jobs() -> int:
+    """``$REPRO_JOBS`` as a worker count (default 1; ``0`` = all cores).
+
+    A value that is not an integer raises
+    :class:`~repro.errors.ConfigurationError` naming it, instead of a
+    bare ``ValueError`` deep inside a sweep.
+    """
+    raw = os.environ.get(_ENV_JOBS, "").strip() or "1"
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigurationError(
+            "%s=%r is not an integer worker count (0 = all cores)"
+            % (_ENV_JOBS, raw)
+        ) from None
+
+
 def corpus_timings(
     dtype: DtypeConfig,
     gpu: "GpuSpec | None" = None,
@@ -74,8 +94,7 @@ def corpus_timings(
     gpu = gpu if gpu is not None else default_gpu()
     with span("generate_corpus"):
         shapes = generate_corpus(spec)
-    jobs = int(os.environ.get("REPRO_JOBS", "1") or "1")
-    res = evaluate_corpus_cached(shapes, dtype, gpu, jobs=jobs)
+    res = evaluate_corpus_cached(shapes, dtype, gpu, jobs=_env_jobs())
     return res.shapes, res
 
 

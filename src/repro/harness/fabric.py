@@ -2,13 +2,14 @@
 
 The WAL shard journal (:mod:`repro.harness.journal`) makes a sweep
 durable for *one* process; this module promotes it into a coordination
-substrate so many worker processes — cooperating children launched by
-``repro sweep --workers N``, or fully independent ``repro sweep --join
-DIR`` invocations that merely share a filesystem — evaluate one corpus
-together.  The design mirrors the paper's thesis at the process level:
-Stream-K replaces static ownership of output tiles with work-centric
-claiming of the iteration domain, and the fabric replaces static shard
-assignment with work-centric claiming of the shard domain.  A fixed
+substrate so many worker processes — the children a ``jobs > 1`` sweep
+forks (``repro sweep --jobs N``, the only multi-process sweep path), or
+fully independent ``repro sweep --join DIR`` invocations that merely
+share a filesystem — evaluate one corpus together.  The design mirrors
+the paper's thesis at the process level: Stream-K replaces static
+ownership of output tiles with work-centric claiming of the iteration
+domain, and the fabric replaces static shard assignment with
+work-centric claiming of the shard domain.  A fixed
 worker-to-shard partition strands work on the slowest or deadest
 worker; a claim queue lets whoever is alive finish the sweep.
 
@@ -47,10 +48,12 @@ to the harness.
 
 **Degradation ladder.**  Any ``OSError`` on lease or journal I/O
 degrades: a worker falls back to plain in-process evaluation of the
-remaining shards (``fabric.degraded``), and the ``--workers`` parent
-finishes the sweep itself if every child dies
-(``fabric.parent_fallback``).  The fabric never aborts a sweep that
-plain evaluation could finish.
+remaining shards (``fabric.degraded``), and the ``--jobs N`` parent
+finishes the sweep itself if every child dies or none can be forked
+(``fabric.parent_fallback``).  A worker that raises or crashes
+mid-shard (``fabric.workers_lost``) costs its peers one lease release
+or one lease budget, never the result.  The fabric never aborts a sweep
+that plain evaluation could finish.
 
 Chaos coverage (:class:`repro.faults.chaos.ChaosWorkerKill`, the CI
 ``fabric`` job) SIGKILLs workers at the claim, mid-evaluation, and
@@ -69,6 +72,7 @@ import socket
 import tempfile
 import threading
 import time
+from multiprocessing.connection import wait as _wait_ready
 
 import numpy as np
 
@@ -79,15 +83,19 @@ from ..gemm.tiling import Blocking
 from ..gpu.spec import GpuSpec
 from ..model.paramcache import calibrate_cached
 from ..obs import counters as _counters
+from ..obs import profiler as _profiler
 from ..obs.profiler import span
+from . import parallel as _parallel
 from .journal import ShardJournal
 from .parallel import (
     _check_drain,
     _drain_signals,
+    _interrupted,
+    _merge_shards,
+    _run_shards_serial,
     _shard_bounds,
     _shard_content_fp,
     corpus_fingerprint,
-    merge_timings,
 )
 from .vectorized import SystemTimings, evaluate_corpus
 
@@ -95,11 +103,11 @@ __all__ = [
     "DEFAULT_HEARTBEAT_FRACTION",
     "DEFAULT_LEASE_SECONDS",
     "LeaseManager",
-    "fabric_sweep",
     "join_sweep",
     "make_worker_id",
     "resolve_heartbeat_seconds",
     "resolve_lease_seconds",
+    "run_workers",
 ]
 
 _ENV_LEASE_SECONDS = "REPRO_LEASE_SECONDS"
@@ -117,12 +125,12 @@ DEFAULT_HEARTBEAT_FRACTION = 1.0 / 6.0
 _LEASES_SUBDIR = "leases"
 
 #: Poll interval when a worker has nothing claimable and no lease has
-#: expired yet, and for the ``--workers`` parent's completion watch.
-_FABRIC_POLL_S = 0.05
+#: expired yet.
+_FABRIC_POLL_S = 0.02
 
-#: How long the ``--workers`` parent waits for a child that has seen
-#: the sweep complete to exit on its own before terminating it.
-_CHILD_JOIN_TIMEOUT_S = 10.0
+#: Longest the ``jobs > 1`` parent sleeps between drain checks while it
+#: waits on its workers' exits and telemetry.
+_PARENT_WAKE_S = 0.1
 
 
 def resolve_lease_seconds(value: "float | None" = None) -> float:
@@ -374,6 +382,12 @@ def _chaos_spec(chaos) -> "str | None":
     return str(chaos)
 
 
+def _open_shards(jr: ShardJournal) -> "list[int]":
+    """Shards with no durable completion in the journal yet."""
+    done = jr.refresh_completed()
+    return [i for i in range(len(jr.bounds)) if i not in done]
+
+
 def _worker_loop(
     shapes: np.ndarray,
     dtype: DtypeConfig,
@@ -384,34 +398,35 @@ def _worker_loop(
     heartbeat_seconds: float,
     claim_offset: int = 0,
     chaos: "ChaosWorkerKill | None" = None,
-    check_drain=None,
+    check_stop=None,
+    on_commit=None,
 ) -> None:
     """Claim/evaluate/commit until every shard is durably done.
 
     The loop is the fabric's heart: refresh peers' commits, claim the
     next open shard (starting ``claim_offset`` shards in, so cohort
     workers fan out instead of contending on shard 0), heartbeat while
-    evaluating, commit through the journal, release.  When nothing is
-    claimable, run a reclaim pass over expired leases; when nothing is
-    expired either, sleep briefly and re-check.  Raises ``OSError``
+    evaluating, commit through the journal, release, then call
+    ``on_commit(shard)``.  When nothing is claimable, run a reclaim pass
+    over expired leases; when nothing is expired either, sleep briefly
+    and re-check.  ``check_stop`` runs before every claim (a drain, or
+    an orphaned worker noticing its parent is gone).  Raises ``OSError``
     only for lease/journal I/O failure — the caller degrades to serial
     evaluation.
     """
     bounds = jr.bounds
-    nshards = len(bounds)
     reclaimed: "set[int]" = set()
     while True:
-        if check_drain is not None:
-            check_drain()
-        done = jr.refresh_completed()
-        open_shards = [i for i in range(nshards) if i not in done]
+        if check_stop is not None:
+            check_stop()
+        open_shards = _open_shards(jr)
         if not open_shards:
             return
         off = claim_offset % len(open_shards)
         progressed = False
         for i in open_shards[off:] + open_shards[:off]:
-            if check_drain is not None:
-                check_drain()
+            if check_stop is not None:
+                check_stop()
             if not lease.try_claim(i):
                 continue
             # A peer may have committed (and released) this shard
@@ -431,11 +446,14 @@ def _worker_loop(
             )
             hb.start()
             try:
+                if _parallel._SHARD_FAULT_HOOK is not None:
+                    _parallel._SHARD_FAULT_HOOK(i, claim_offset)
                 lo, hi = bounds[i]
                 if chaos is not None:
                     chaos.on_event("eval")
-                with span("fabric_shard"):
+                with span("shard"):
                     res = evaluate_corpus(shapes[lo:hi], dtype, gpu)
+                _counters.inc_counter("harness.shards_ok")
                 if chaos is not None:
                     chaos.on_event("commit")
                 jr.record_done(
@@ -445,10 +463,11 @@ def _worker_loop(
             finally:
                 hb.stop()
                 lease.release(i)
+            if on_commit is not None:
+                on_commit(i)
         if progressed:
             continue
-        done = jr.refresh_completed()
-        open_shards = [i for i in range(nshards) if i not in done]
+        open_shards = _open_shards(jr)
         if not open_shards:
             return
         expired = lease.expired_shards(open_shards)
@@ -460,65 +479,6 @@ def _worker_loop(
                 reclaimed.add(i)
         if not expired:
             time.sleep(_FABRIC_POLL_S)
-
-
-def _serial_finish(
-    shapes: np.ndarray,
-    dtype: DtypeConfig,
-    gpu: GpuSpec,
-    jr: ShardJournal,
-    check_drain=None,
-) -> None:
-    """Degradation terminal: evaluate every open shard in-process.
-
-    Ignores leases entirely — re-evaluating a shard some silent peer is
-    also working on is safe (digest-idempotent commits) and finishing
-    the sweep beats deadlocking on unreadable lease state.
-    """
-    done = jr.refresh_completed()
-    for i, (lo, hi) in enumerate(jr.bounds):
-        if i in done:
-            continue
-        if check_drain is not None:
-            check_drain()
-        _counters.inc_counter("fabric.serial_fallback_shards")
-        with span("fabric_serial_shard"):
-            res = evaluate_corpus(shapes[lo:hi], dtype, gpu)
-        jr.record_done(i, res, fingerprint=_shard_content_fp(shapes[lo:hi]))
-
-
-def _merge_from_journal(
-    shapes: np.ndarray,
-    dtype: DtypeConfig,
-    gpu: GpuSpec,
-    jr: ShardJournal,
-) -> SystemTimings:
-    """Merge barrier: digest-verified load of every shard, in order.
-
-    Any shard whose artifact is missing or fails digest verification is
-    re-evaluated in-process (``fabric.merge_reevaluated``) — the merge
-    never trusts an unverified byte, and determinism makes the repaired
-    result identical to the journaled one.
-    """
-    jr.refresh_completed()
-    parts: "list[SystemTimings]" = []
-    for i, (lo, hi) in enumerate(jr.bounds):
-        res = jr.load_completed(i)
-        if res is None:
-            _counters.inc_counter("fabric.merge_reevaluated")
-            res = evaluate_corpus(shapes[lo:hi], dtype, gpu)
-            jr.record_done(
-                i, res, fingerprint=_shard_content_fp(shapes[lo:hi])
-            )
-        parts.append(res)
-    with span("merge_shards"):
-        return merge_timings(parts)
-
-
-def _interrupt_info(exc: SweepInterrupted, jr: ShardJournal, directory: str):
-    exc.completed = len(jr.refresh_completed())
-    exc.total = len(jr.bounds)
-    exc.journal_dir = directory
 
 
 def join_sweep(
@@ -557,24 +517,41 @@ def join_sweep(
             _counters.inc_counter("fabric.degraded")
             return evaluate_corpus(shapes, dtype, gpu)
         calibrate_cached(gpu, Blocking(*dtype.default_blocking), dtype)
+        results: "list[SystemTimings | None]" = [None] * len(jr.bounds)
         with span("fabric_join"), _drain_signals():
             try:
-                lease = LeaseManager(journal_dir, wid, lease_s)
-                _worker_loop(
-                    shapes, dtype, gpu, jr, lease, wid, hb_s,
-                    chaos=chaos, check_drain=_check_drain,
-                )
+                try:
+                    lease = LeaseManager(journal_dir, wid, lease_s)
+                    _worker_loop(
+                        shapes, dtype, gpu, jr, lease, wid, hb_s,
+                        chaos=chaos, check_stop=_check_drain,
+                    )
+                except OSError:
+                    _counters.inc_counter("fabric.degraded")
+                    _run_shards_serial(
+                        shapes, dtype, gpu, jr, results, _open_shards(jr),
+                        fallback=True,
+                    )
             except SweepInterrupted as exc:
-                _interrupt_info(exc, jr, journal_dir)
+                _interrupted(exc, jr)
                 raise
-            except OSError:
-                _counters.inc_counter("fabric.degraded")
-                _serial_finish(
-                    shapes, dtype, gpu, jr, check_drain=_check_drain
-                )
-            return _merge_from_journal(shapes, dtype, gpu, jr)
+            return _merge_shards(shapes, dtype, gpu, jr, results)
     finally:
         jr.close()
+
+
+def _ship(conn) -> bool:
+    """Send this worker's profile and counters since the last ship to
+    the parent, then reset them; False when the parent is gone."""
+    try:
+        conn.send(
+            (_profiler.snapshot_profile(), _counters.snapshot_counters())
+        )
+    except OSError:
+        return False
+    _profiler.reset_profile()
+    _counters.reset_counters()
+    return True
 
 
 def _fabric_worker_main(
@@ -588,17 +565,37 @@ def _fabric_worker_main(
     lease_seconds: float,
     heartbeat_seconds: float,
     chaos_spec: "str | None",
+    profile: bool,
+    conn,
 ) -> None:
-    """Child-process entry point for one ``--workers`` fabric worker."""
+    """Child-process entry point for one fabric worker of a ``jobs > 1``
+    sweep: telemetry goes home over ``conn`` after every commit."""
     # Forked children inherit the parent's drain handler; restore the
     # default so the parent's terminate() can always kill us, and
-    # ignore Ctrl-C so only the parent drains (see _pool_worker_init).
+    # ignore Ctrl-C (delivered to the whole foreground process group)
+    # so only the parent drains.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = os.getppid()
+    if profile:
+        _profiler.enable_profiling()
+    # Drop the inherited profile, open-span stack and counters so only
+    # this worker's own telemetry is shipped home.
+    _profiler.reset_profile()
+    _counters.reset_counters()
+
+    def check_parent() -> None:
+        # An orphan stops claiming: with its parent gone nobody merges,
+        # and a resume must not race a stray appender.
+        if os.getppid() != parent:
+            raise SystemExit(0)
+
+    def on_commit(_shard: int) -> None:
+        if not _ship(conn):
+            raise SystemExit(0)
+
     dtype = get_dtype_config(dtype_name)
-    chaos = (
-        ChaosWorkerKill.parse(chaos_spec) if chaos_spec else None
-    )
+    chaos = ChaosWorkerKill.parse(chaos_spec) if chaos_spec else None
     jr = ShardJournal.open_shared(
         journal_dir, corpus_key, bounds, dtype.name, gpu.name
     )
@@ -611,107 +608,140 @@ def _fabric_worker_main(
             _worker_loop(
                 shapes, dtype, gpu, jr, lease, wid, heartbeat_seconds,
                 claim_offset=worker_index, chaos=chaos,
+                check_stop=check_parent, on_commit=on_commit,
             )
         except OSError:
             _counters.inc_counter("fabric.degraded")
-            _serial_finish(shapes, dtype, gpu, jr)
+            _run_shards_serial(
+                shapes, dtype, gpu, jr, [None] * len(jr.bounds),
+                _open_shards(jr), on_commit=on_commit, fallback=True,
+            )
     finally:
         jr.close()
+        _ship(conn)
+        conn.close()
 
 
-def fabric_sweep(
+def _clear_leases(directory: str) -> None:
+    """Remove every lease file before a parent starts its workers.
+
+    The parent owns the journal for the whole sweep, so a lease already
+    there was left by a worker of an earlier run that was killed — its
+    shard is claimable now, not after the lease budget runs out.
+    """
+    lease_dir = os.path.join(directory, _LEASES_SUBDIR)
+    try:
+        names = os.listdir(lease_dir)
+    except OSError:
+        return
+    for name in names:
+        try:
+            os.unlink(os.path.join(lease_dir, name))
+        except OSError:
+            pass
+
+
+def run_workers(
     shapes: np.ndarray,
     dtype: DtypeConfig,
     gpu: GpuSpec,
-    journal_dir: str,
-    workers: int = 2,
-    shard_rows: "int | None" = None,
+    jr: ShardJournal,
+    results: "list[SystemTimings | None]",
+    workers: int,
     lease_seconds: "float | None" = None,
     heartbeat_seconds: "float | None" = None,
     chaos_worker=None,
-) -> SystemTimings:
-    """Run a corpus sweep across ``workers`` lease-claiming processes.
+    on_commit=None,
+) -> None:
+    """Evaluate ``jr``'s open shards with ``workers`` forked workers.
 
-    The parent initializes the shared journal, warms the calibration
-    cache, launches the workers, and watches the journal until every
-    shard is committed — then joins the children, runs the merge
-    barrier, and compacts.  ``chaos_worker`` (a
-    :class:`~repro.faults.chaos.ChaosWorkerKill` or its ``POINT[:K]``
-    spec) is armed in worker 0 only, so chaos runs always have a
-    survivor to finish the sweep.  If every child dies with shards
-    still open, the parent finishes them in-process
-    (``fabric.parent_fallback``) — losing all workers degrades, never
-    aborts.
+    The parent side of a ``jobs > 1`` sweep
+    (:func:`repro.harness.parallel.evaluate_corpus_sharded` opens the
+    journal before and merges after).  It evaluates nothing while a
+    worker lives: it waits on the workers' exit sentinels and telemetry
+    pipes — waking at least every ``_PARENT_WAKE_S`` to honour a drain —
+    merges each worker's profiler and counter snapshots, and calls
+    ``on_commit(shard)`` for every commit it observes in the journal.
+    ``chaos_worker`` (a :class:`~repro.faults.chaos.ChaosWorkerKill` or
+    its ``POINT[:K]`` spec) is armed in worker 0 only, so chaos runs
+    always have a survivor.  A worker that exits abnormally is counted
+    in ``fabric.workers_lost``; its shard is claimed again by a peer.
+    When every worker is gone — or none could start
+    (``fabric.pool_unusable``) — with shards still open, the parent
+    finishes them in-process (``fabric.parent_fallback``) into
+    ``results``: losing all workers degrades, never aborts.
     """
-    shapes = np.asarray(shapes, dtype=np.int64)
-    workers = max(1, int(workers))
     lease_s = resolve_lease_seconds(lease_seconds)
     hb_s = resolve_heartbeat_seconds(heartbeat_seconds, lease_s)
     chaos_spec = _chaos_spec(chaos_worker)
-    key = corpus_fingerprint(shapes, dtype, gpu)
-    bounds = _shard_bounds(shapes.shape[0], workers, shard_rows)
-    jr = ShardJournal.open_shared(
-        journal_dir, key, bounds, dtype.name, gpu.name
-    )
+    _clear_leases(jr.directory)
+    seen = set(jr.refresh_completed())
+
+    def observe() -> "list[int]":
+        pending = _open_shards(jr)
+        for i in sorted(set(jr.completed) - seen):
+            seen.add(i)
+            if on_commit is not None:
+                on_commit(i)
+        return pending
+
     procs: "list" = []
+    conns: "list" = []
     try:
-        if jr.degraded:
-            _counters.inc_counter("fabric.degraded")
-            return evaluate_corpus(shapes, dtype, gpu)
-        # Warm the persistent calibration cache before forking so the
-        # workers hit the memo instead of racing on microbenchmarks.
-        calibrate_cached(gpu, Blocking(*dtype.default_blocking), dtype)
-        nshards = len(jr.bounds)
         try:
             ctx = multiprocessing.get_context()
             for w in range(workers):
+                recv, send = ctx.Pipe(duplex=False)
                 p = ctx.Process(
                     target=_fabric_worker_main,
                     args=(
-                        shapes, dtype.name, gpu, journal_dir, key,
-                        jr.bounds, w, lease_s, hb_s,
+                        shapes, dtype.name, gpu, jr.directory,
+                        jr.corpus_key, jr.bounds, w, lease_s, hb_s,
                         chaos_spec if w == 0 else None,
+                        _profiler.profiling_enabled(), send,
                     ),
+                    daemon=True,
                 )
                 p.start()
+                send.close()
                 procs.append(p)
+                conns.append(recv)
         except Exception:
-            # Fork limits/sandboxing: no workers at all — run serial.
+            # Fork limits/sandboxing: the parent finishes below.
             _counters.inc_counter("fabric.pool_unusable")
-        with span("fabric_sweep"), _drain_signals():
-            try:
-                while True:
-                    _check_drain()
-                    done = jr.refresh_completed()
-                    if len(done) >= nshards:
-                        break
-                    if not any(p.is_alive() for p in procs):
-                        _counters.inc_counter("fabric.parent_fallback")
-                        _serial_finish(
-                            shapes, dtype, gpu, jr,
-                            check_drain=_check_drain,
-                        )
-                        break
-                    time.sleep(_FABRIC_POLL_S)
-                # Workers exit on their own once they observe the sweep
-                # complete; reap them before compacting so no appender
-                # races the WAL rewrite.
-                for p in procs:
-                    p.join(timeout=_CHILD_JOIN_TIMEOUT_S)
-                for p in procs:
-                    if p.is_alive():  # pragma: no cover - wedged child
-                        p.terminate()
-                        p.join(timeout=_CHILD_JOIN_TIMEOUT_S)
-                merged = _merge_from_journal(shapes, dtype, gpu, jr)
-                jr.compact()
-                return merged
-            except SweepInterrupted as exc:
-                _interrupt_info(exc, jr, journal_dir)
-                raise
+        live = list(procs)
+        while live or conns:
+            _check_drain()
+            ready = _wait_ready(
+                [p.sentinel for p in live] + conns, timeout=_PARENT_WAKE_S
+            )
+            for conn in [c for c in conns if c in ready]:
+                try:
+                    prof_snap, counter_snap = conn.recv()
+                except (EOFError, OSError):
+                    conns.remove(conn)
+                    conn.close()
+                    continue
+                _profiler.merge_profile(prof_snap)
+                _counters.merge_counters(counter_snap)
+            for p in [p for p in live if p.sentinel in ready]:
+                p.join()
+                live.remove(p)
+                if p.exitcode != 0:
+                    _counters.inc_counter("fabric.workers_lost")
+            observe()
+        pending = observe()
+        if pending:
+            _counters.inc_counter("fabric.parent_fallback")
+            _run_shards_serial(
+                shapes, dtype, gpu, jr, results, pending,
+                on_commit=on_commit, fallback=True,
+            )
     finally:
         for p in procs:
             if p.is_alive():
                 p.terminate()
         for p in procs:
-            p.join(timeout=_CHILD_JOIN_TIMEOUT_S)
-        jr.close()
+            p.join()
+        for conn in conns:
+            conn.close()

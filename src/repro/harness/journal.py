@@ -2,11 +2,10 @@
 
 The paper's evaluation is a 32,824-shape corpus sweep per schedule
 family and per device; :mod:`repro.harness.crosshw` multiplies that by a
-registry of GPU presets.  PR 3's self-healing retries shards *within* a
-living pool — but a SIGTERM, OOM-kill, ENOSPC, or machine sleep used to
-discard the whole sweep.  This module gives every long-running sweep the
-durability a training stack gets from checkpointing: kill the process at
-any instant, resume, and the merged
+registry of GPU presets.  Without a journal, a SIGTERM, OOM-kill,
+ENOSPC, or machine sleep discards the whole sweep.  This module gives
+every long-running sweep the durability a training stack gets from
+checkpointing: kill the process at any instant, resume, and the merged
 :class:`~repro.harness.vectorized.SystemTimings` is **bitwise identical**
 to the uninterrupted run.
 
@@ -45,7 +44,7 @@ Records (``kind`` field):
                    dtype and GPU names, creation time
 ``shard_started``  shard index + shard content fingerprint (forensics)
 ``shard_done``     shard index, content fingerprint, **result digest**
-``shard_abandoned``  shard index + reason (watchdog deadline, etc.);
+``shard_abandoned``  shard index + reason a shard was given up;
                    resume re-runs it
 ``shard_claimed``  shard index + claiming worker identity (lease
                    fabric, :mod:`repro.harness.fabric`); liveness-only
@@ -61,10 +60,12 @@ records, so duplicate claims (``journal.duplicate_claim``), reclaims
 without a visible prior claim (``journal.orphan_reclaim``), and lost
 heartbeats can never corrupt a merged result.
 
-**Shared mode** (:meth:`ShardJournal.open_shared`) relaxes exactly two
-single-process assumptions so multiple worker processes can append to
-one WAL: appends go through ``O_APPEND`` (atomic for these small
-single-``write`` frames on POSIX filesystems), and replay **never
+Every handle appends through ``O_APPEND`` (atomic for these small
+single-``write`` frames on POSIX filesystems), so many processes can
+append to one WAL.  A ``jobs > 1`` sweep's parent opens the journal with
+:meth:`ShardJournal.open` (``resume=False`` starts it afresh) before its
+fabric workers attach with :meth:`ShardJournal.open_shared`.  **Shared
+mode** relaxes one single-process assumption: its replay **never
 truncates** a torn tail — with a live concurrent writer, an apparently
 torn frame may simply be another worker's append in flight.
 """
@@ -378,9 +379,9 @@ class ShardJournal:
         holder dies before writing the header, joiners steal the lock
         after ``init_timeout_s`` (``journal.init_lock_stolen``).
 
-        Shared journals append via ``O_APPEND`` and never truncate torn
-        tails (see the module docstring).  Filesystem failure degrades
-        to a no-op journal exactly like :meth:`open`.
+        Shared journals never truncate torn tails (see the module
+        docstring).  Filesystem failure degrades to a no-op journal
+        exactly like :meth:`open`.
         """
         self = cls(directory, corpus_key)
         self.shared = True
@@ -430,12 +431,6 @@ class ShardJournal:
                     self._fh = open(self.wal_path, "ab")
                 else:
                     self._initialize_fresh(dtype_name, gpu_name)
-                    if not self.degraded:
-                        # A "wb" handle's position would not track the
-                        # other workers' O_APPEND writes: reopen so
-                        # every append lands at the true end of file.
-                        self.close()
-                        self._fh = open(self.wal_path, "ab")
             except OSError:
                 self._degrade()
             finally:
@@ -452,16 +447,27 @@ class ShardJournal:
             os.unlink(self.checkpoint_path)
         except OSError:
             pass
-        self._fh = open(self.wal_path, "wb")
+        self._reset_wal({"dtype": dtype_name, "gpu": gpu_name})
+
+    def _reset_wal(self, extra: "dict | None" = None) -> None:
+        """Truncate the WAL to a single header record.
+
+        The handle is reopened in append mode: every append — this
+        process's and any worker's sharing the journal — then lands at
+        the true end of file.
+        """
+        self.close()
+        with open(self.wal_path, "wb"):
+            pass
+        self._fh = open(self.wal_path, "ab")
         self._append(
             {
                 "kind": "sweep_header",
                 "v": JOURNAL_FORMAT_VERSION,
                 "corpus": self.corpus_key,
                 "bounds": [[lo, hi] for lo, hi in self.bounds],
-                "dtype": dtype_name,
-                "gpu": gpu_name,
                 "t": time.time(),
+                **(extra or {}),
             }
         )
 
@@ -757,17 +763,7 @@ class ShardJournal:
                 raise
             # The checkpoint now carries every completion: rewrite the
             # WAL as header-only so replay never re-reads history.
-            self.close()
-            self._fh = open(self.wal_path, "wb")
-            self._append(
-                {
-                    "kind": "sweep_header",
-                    "v": JOURNAL_FORMAT_VERSION,
-                    "corpus": self.corpus_key,
-                    "bounds": [[lo, hi] for lo, hi in self.bounds],
-                    "t": time.time(),
-                }
-            )
+            self._reset_wal()
             inc_counter("journal.compacted")
         except OSError:
             self._degrade()

@@ -16,61 +16,57 @@ evaluation instead of recomputing three, and *any* identical corpus
 re-query is free.  The memo is in-process by default; point
 ``REPRO_EVAL_CACHE_DIR`` (or the ``cache_dir`` argument) at a directory
 to persist evaluations across processes as ``.npz`` artifacts
-(write-temp + atomic rename, safe under concurrent writers).
+(write-temp + atomic rename, safe under concurrent writers).  Corrupt
+persisted evaluation artifacts are quarantined (renamed ``*.corrupt``,
+counted in ``evalcache.corrupt_quarantined``) and recomputed rather than
+re-parsed forever; artifact *writes* that hit a full or read-only
+filesystem are dropped (``evalcache.write_failed``) instead of crashing
+the sweep.
 
-Workers re-derive calibration constants through the persistent
-calibration cache (:mod:`repro.model.paramcache`), so a cold pool does
-not re-run simulator microbenchmarks per worker.
+There is one multi-process path: ``jobs > 1`` runs that many workers of
+the lease fabric (:mod:`repro.harness.fabric`) over a shard journal
+(:mod:`repro.harness.journal`) — the caller's ``journal=DIR``, or a
+temporary one removed when the sweep returns.  Workers claim shards
+through atomic leases; a worker that raises or dies has its shard
+claimed again by a peer once its lease is released or expires, and if
+every worker is gone the parent finishes the open shards itself
+(``fabric.parent_fallback``).  Shard evaluation is deterministic, so
+every path yields the bitwise-exact corpus result.  ``jobs=1`` evaluates
+in-process, journaled when a journal is given.  The calibration cache
+(:mod:`repro.model.paramcache`) is warmed before forking, so workers do
+not re-run simulator microbenchmarks.
 
-The pool is **self-healing**: every shard is submitted asynchronously
-with a monotonic watchdog deadline, retried with exponential backoff on
-worker crash or timeout (``harness.shard_retries`` /
-``harness.shard_timeouts`` counters), and — when the pool is unusable or
-retries are exhausted — evaluated in-process instead
-(``harness.shard_serial_fallbacks``).  Because shard evaluation is
-deterministic, a sweep that loses workers mid-flight still returns the
-bitwise-exact corpus result.  Corrupt persisted evaluation artifacts are
-quarantined (renamed ``*.corrupt``, counted in
-``evalcache.corrupt_quarantined``) and recomputed rather than re-parsed
-forever; artifact *writes* that hit a full or read-only filesystem are
-dropped (``evalcache.write_failed``) instead of crashing the sweep.
-
-On top of self-healing sits **durability**
-(:mod:`repro.harness.journal`, docs/CHECKPOINTING.md): pass
-``journal=DIR`` and every shard completion is committed to a write-ahead
-journal (fsync'd CRC-framed records + a digest-verified per-shard npz
-store) the instant it lands.  ``resume=True`` replays the journal on
-startup and skips completed shards (``journal.skipped_shards``), so a
-sweep killed at *any* instant — SIGKILL included — resumes to the
-bitwise-identical merged result.  During a sweep, SIGINT/SIGTERM install
-a drain handler: dispatch stops, in-flight completions are journaled,
-workers are terminated and joined (an ``atexit`` guard reaps any pool a
-harder teardown leaves behind), and :class:`~repro.errors.SweepInterrupted`
+With a journal a sweep is **durable** (docs/CHECKPOINTING.md): every
+shard completion is committed to a write-ahead journal (fsync'd
+CRC-framed records + a digest-verified per-shard npz store) the instant
+it lands.  ``resume=True`` replays the journal on startup and skips
+completed shards (``journal.skipped_shards``), so a sweep killed at
+*any* instant — SIGKILL included — resumes to the bitwise-identical
+merged result.  During a sweep, SIGINT/SIGTERM install a drain handler:
+dispatch stops, completions so far stay journaled, workers are
+terminated and joined, and :class:`~repro.errors.SweepInterrupted`
 propagates so the CLI can exit with the distinct resumable status.
 """
 
 from __future__ import annotations
 
-import atexit
 import contextlib
 import hashlib
-import multiprocessing
 import os
+import shutil
 import signal
 import tempfile
 import threading
-import time
 import zipfile
 
 import numpy as np
 
 from ..errors import ConfigurationError, SweepInterrupted
-from ..gemm.dtypes import DtypeConfig, get_dtype_config
+from ..gemm.dtypes import DtypeConfig
 from ..gemm.tiling import Blocking
 from ..gpu.spec import GpuSpec
 from ..model.paramcache import calibrate_cached, gpu_fingerprint
 from ..obs import counters as _counters
-from ..obs import profiler as _profiler
 from ..obs.profiler import span
 from .journal import ShardJournal
 from .vectorized import SystemTimings, evaluate_corpus
@@ -95,60 +91,29 @@ _ENV_EVAL_CACHE_DIR = "REPRO_EVAL_CACHE_DIR"
 #: vectorized evaluation itself.
 _MIN_SHARD_ROWS = 256
 
-#: Default per-shard wall-clock budget (seconds).  Generous — a shard is
-#: a vectorized evaluation of at most a few thousand rows — but finite,
-#: so a crashed worker (whose result never arrives) cannot wedge a sweep.
-_DEFAULT_SHARD_TIMEOUT_S = 300.0
-
-#: Default retry budget per shard before falling back to in-process
-#: evaluation, and the base of the exponential backoff between attempts.
-_DEFAULT_MAX_RETRIES = 2
-_DEFAULT_RETRY_BACKOFF_S = 0.05
-
-#: Poll interval of the dispatch loop: bounds how quickly a drain signal
-#: or a watchdog deadline is noticed without busy-waiting.
-_POLL_INTERVAL_S = 0.02
-
-#: Test seam: when set, called as ``hook(shard_index, attempt)`` inside
-#: the worker before evaluating — lets the test suite crash or fail a
-#: specific (shard, attempt) deterministically.  Inherited by forked
-#: workers; never set in production code paths.
+#: Test seam: when set, called as ``hook(shard_index, worker_index)`` in
+#: a fabric worker after it claims a shard and before it evaluates it —
+#: lets the test suite make a given worker raise or die while holding a
+#: lease.  Inherited by forked workers; never set in production code
+#: paths.
 _SHARD_FAULT_HOOK = None
 
 #: Test seam: when set, called as ``hook(event, shard_index)`` in the
-#: *parent* dispatch loop (``event`` is ``"done"``) after each shard
-#: completion is recorded — lets tests inject a signal/interrupt at a
-#: deterministic point between shard boundaries.
+#: *parent* (``event`` is ``"done"``) for each shard completion it
+#: observes — lets tests inject a signal/interrupt at a deterministic
+#: point between shard boundaries.
 _DISPATCH_HOOK = None
 
 _MEMO: "dict[str, SystemTimings]" = {}
 
 
 # --------------------------------------------------------------------- #
-# Signal-safe lifecycle: drain on SIGINT/SIGTERM, reap pools at exit     #
+# Signal-safe lifecycle: drain on SIGINT/SIGTERM                         #
 # --------------------------------------------------------------------- #
 
 #: Set by the drain handler; checked by the dispatch loop at shard
 #: boundaries.  A plain Event keeps the handler async-signal-trivial.
 _DRAIN_EVENT = threading.Event()
-
-#: Pools currently alive, terminated by the ``atexit`` guard if a
-#: non-local teardown (unhandled exception past our ``finally``,
-#: interpreter shutdown) would otherwise orphan their worker children.
-_LIVE_POOLS: "set" = set()
-
-
-def _reap_live_pools() -> None:
-    while _LIVE_POOLS:
-        pool = _LIVE_POOLS.pop()
-        try:
-            pool.terminate()
-            pool.join()
-        except Exception:  # pragma: no cover - best-effort reaper
-            pass
-
-
-atexit.register(_reap_live_pools)
 
 
 def _drain_handler(signum, frame) -> None:
@@ -165,7 +130,7 @@ def _drain_signals():
     handler only sets a flag, and the dispatch loop drains at the next
     shard boundary.  Outside the main thread (where ``signal.signal``
     is illegal) the sweep runs with default delivery; the ``finally``
-    blocks and the atexit guard still reap the pool.
+    blocks still reap the workers.
     """
     installed = []
     try:
@@ -227,28 +192,6 @@ def merge_timings(parts: "list[SystemTimings]") -> SystemTimings:
     )
 
 
-def _eval_shard(
-    args: "tuple[np.ndarray, str, GpuSpec, bool, int, int]",
-) -> "tuple[SystemTimings, dict, dict]":
-    """Worker entry point: evaluate one contiguous shard.
-
-    Returns the shard timings plus the worker's observability state — a
-    profiler snapshot (empty unless profiling is on) and a counters
-    snapshot — so the parent can merge worker telemetry into one profile
-    (see :mod:`repro.obs`).
-    """
-    shapes, dtype_name, gpu, profile, shard_index, attempt = args
-    if _SHARD_FAULT_HOOK is not None:
-        _SHARD_FAULT_HOOK(shard_index, attempt)
-    if profile:
-        _profiler.enable_profiling()
-    _profiler.reset_profile()
-    _counters.reset_counters()
-    with span("shard"):
-        res = evaluate_corpus(shapes, get_dtype_config(dtype_name), gpu)
-    return res, _profiler.snapshot_profile(), _counters.snapshot_counters()
-
-
 def _resolve_jobs(jobs: "int | None") -> int:
     """``None``/``1`` => in-process; ``<= 0`` => one per *available* CPU.
 
@@ -258,8 +201,8 @@ def _resolve_jobs(jobs: "int | None") -> int:
     oversubscribing the mask makes every worker a straggler.  Constrained
     cgroups can expose an empty or one-element mask (and some runtimes
     raise ``ValueError``); the result is always clamped to >= 1 so the
-    sweep degrades to in-process evaluation instead of building a
-    zero-worker pool.
+    sweep degrades to in-process evaluation instead of launching zero
+    workers.
     """
     if jobs is None or jobs == 1:
         return 1
@@ -271,23 +214,6 @@ def _resolve_jobs(jobs: "int | None") -> int:
             available = os.cpu_count() or 1
         return max(1, available)
     return jobs
-
-
-def _eval_shard_inproc(
-    shapes: np.ndarray, dtype: DtypeConfig, gpu: GpuSpec
-) -> SystemTimings:
-    """Evaluate one shard in the parent process (journaled serial sweeps)."""
-    with span("shard"):
-        return evaluate_corpus(shapes, dtype, gpu)
-
-
-def _eval_shard_serial(
-    shapes: np.ndarray, dtype: DtypeConfig, gpu: GpuSpec
-) -> SystemTimings:
-    """In-process shard evaluation (graceful-degradation path)."""
-    _counters.inc_counter("harness.shard_serial_fallbacks")
-    with span("shard_serial_fallback"):
-        return evaluate_corpus(shapes, dtype, gpu)
 
 
 def _shard_bounds(
@@ -308,246 +234,89 @@ def _shard_content_fp(shapes: np.ndarray) -> str:
     ).hexdigest()[:16]
 
 
-def _commit_shard(
-    journal: "ShardJournal | None",
-    chaos,
-    shard_index: int,
-    shard_args: tuple,
-    res: SystemTimings,
-) -> None:
-    """Journal a completion, then evaluate the chaos kill point.
+def _commit_hooks(chaos):
+    """The parent's per-commit callback: test dispatch hook, then the
+    chaos kill point — which fires only after the commit is durable, so
+    a chaos SIGKILL always leaves a journal that resumes past it."""
 
-    Ordering is the crash contract: the result is durably committed
-    (npz + fsync'd WAL record) *before* the kill point fires, so a chaos
-    SIGKILL always leaves a journal that resumes past this shard.
-    """
-    if journal is not None:
-        journal.record_done(
-            shard_index, res, fingerprint=_shard_content_fp(shard_args[0])
-        )
-    if _DISPATCH_HOOK is not None:
-        _DISPATCH_HOOK("done", shard_index)
-    if chaos is not None:
-        chaos.on_shard_done()
+    def on_commit(shard_index: int) -> None:
+        if _DISPATCH_HOOK is not None:
+            _DISPATCH_HOOK("done", shard_index)
+        if chaos is not None:
+            chaos.on_shard_done()
 
-
-def _run_shards_self_healing(
-    pool,
-    shards: "list[tuple]",
-    dtype: DtypeConfig,
-    gpu: GpuSpec,
-    max_retries: int,
-    shard_timeout: "float | None",
-    retry_backoff_s: float,
-    results: "list[SystemTimings | None]",
-    pending: "list[int]",
-    journal: "ShardJournal | None" = None,
-    chaos=None,
-) -> None:
-    """Drive ``pending`` shards through the pool with retry and fallback.
-
-    Every shard is submitted asynchronously and watched against a
-    monotonic deadline; a shard whose worker raises, crashes (its result
-    never arrives => watchdog timeout, journaled as ``shard_abandoned``),
-    or hangs past ``shard_timeout`` is resubmitted up to ``max_retries``
-    times with exponential backoff, then evaluated in-process.  Shard
-    evaluation is deterministic, so any path yields the bitwise-identical
-    result.  The loop polls (never blocks unboundedly), so drain signals
-    and watchdog deadlines are honored within ``_POLL_INTERVAL_S``.
-    """
-    now = time.monotonic
-    outstanding = []
-    for i in pending:
-        if journal is not None:
-            journal.record_started(
-                i, fingerprint=_shard_content_fp(shards[i][0])
-            )
-        deadline = None if shard_timeout is None else now() + shard_timeout
-        outstanding.append(
-            (i, 0, pool.apply_async(_eval_shard, (shards[i],)), deadline)
-        )
-    while outstanding:
-        _check_drain()
-        progressed = False
-        still, retry_queue = [], []
-        for i, attempt, handle, deadline in outstanding:
-            if handle.ready():
-                progressed = True
-                try:
-                    res, prof_snap, counter_snap = handle.get()
-                except Exception:
-                    _counters.inc_counter("harness.shard_failures")
-                    retry_queue.append((i, attempt))
-                else:
-                    # Fold worker telemetry into this process: spans from
-                    # the shard land in one profile (distinguished by
-                    # pid), counters add up.
-                    _profiler.merge_profile(prof_snap)
-                    _counters.merge_counters(counter_snap)
-                    _counters.inc_counter("harness.shards_ok")
-                    results[i] = res
-                    _commit_shard(journal, chaos, i, shards[i], res)
-            elif deadline is not None and now() > deadline:
-                # Watchdog: the worker hung or died without a result.
-                progressed = True
-                _counters.inc_counter("harness.shard_timeouts")
-                if journal is not None:
-                    journal.record_abandoned(
-                        i, "watchdog deadline (%.1fs) exceeded" % shard_timeout
-                    )
-                retry_queue.append((i, attempt))
-            else:
-                still.append((i, attempt, handle, deadline))
-        for i, attempt in retry_queue:
-            shapes_i = shards[i][0]
-            if attempt >= max_retries:
-                results[i] = _eval_shard_serial(shapes_i, dtype, gpu)
-                _commit_shard(journal, chaos, i, shards[i], results[i])
-                continue
-            _counters.inc_counter("harness.shard_retries")
-            if retry_backoff_s > 0.0:
-                time.sleep(retry_backoff_s * (2.0 ** attempt))
-            next_args = shards[i][:5] + (attempt + 1,)
-            try:
-                handle = pool.apply_async(_eval_shard, (next_args,))
-            except Exception:
-                # Pool itself is unusable (terminated, broken): degrade.
-                _counters.inc_counter("harness.pool_unusable")
-                results[i] = _eval_shard_serial(shapes_i, dtype, gpu)
-                _commit_shard(journal, chaos, i, shards[i], results[i])
-            else:
-                deadline = (
-                    None if shard_timeout is None else now() + shard_timeout
-                )
-                still.append((i, attempt + 1, handle, deadline))
-        outstanding = still
-        if outstanding and not progressed:
-            time.sleep(_POLL_INTERVAL_S)
+    return on_commit
 
 
 def _run_shards_serial(
-    shards: "list[tuple]",
-    dtype: DtypeConfig,
-    gpu: GpuSpec,
-    results: "list[SystemTimings | None]",
-    pending: "list[int]",
-    journal: "ShardJournal | None",
-    chaos,
-) -> None:
-    """In-process shard loop (``jobs=1`` journaled sweeps, broken pools)."""
-    for i in pending:
-        _check_drain()
-        if journal is not None:
-            journal.record_started(
-                i, fingerprint=_shard_content_fp(shards[i][0])
-            )
-        results[i] = _eval_shard_inproc(shards[i][0], dtype, gpu)
-        _counters.inc_counter("harness.shards_ok")
-        _commit_shard(journal, chaos, i, shards[i], results[i])
-
-
-def _pool_worker_init() -> None:
-    """Reset signal disposition in freshly-forked pool workers.
-
-    Workers fork while the parent's drain handler is installed (the pool
-    is created inside :func:`_drain_signals`), and ``fork`` inherits
-    signal handlers — so without this reset a worker would *swallow* the
-    ``SIGTERM`` that ``Pool.terminate()`` relies on, and the parent's
-    ``join()`` would hang forever on a busy worker.  ``SIGTERM`` goes
-    back to the default (die, so terminate/atexit reaping always works);
-    ``SIGINT`` is ignored (a terminal Ctrl-C is delivered to the whole
-    foreground process group — only the *parent* should drain, journal,
-    and then reap the workers, instead of every worker dying mid-shard
-    with a KeyboardInterrupt traceback).
-    """
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-@contextlib.contextmanager
-def _managed_pool(ctx, processes: int):
-    """A worker pool that cannot leak children.
-
-    Registered in ``_LIVE_POOLS`` so the ``atexit`` guard reaps workers
-    even if teardown is skipped (interpreter exit mid-sweep); the normal
-    path terminates + joins in ``finally`` — including on
-    :class:`SweepInterrupted` and KeyboardInterrupt — so no orphaned
-    worker survives the parent.  ``_pool_worker_init`` restores default
-    signal handling inside each worker so ``terminate()`` is always able
-    to kill them (see its docstring for the fork-inheritance trap).
-    """
-    pool = ctx.Pool(processes=processes, initializer=_pool_worker_init)
-    _LIVE_POOLS.add(pool)
-    try:
-        yield pool
-    finally:
-        _LIVE_POOLS.discard(pool)
-        pool.terminate()
-        pool.join()
-
-
-def _sweep_shards(
     shapes: np.ndarray,
     dtype: DtypeConfig,
     gpu: GpuSpec,
-    jobs: int,
-    bounds: "list[tuple[int, int]]",
+    jr: ShardJournal,
     results: "list[SystemTimings | None]",
     pending: "list[int]",
-    max_retries: int,
-    shard_timeout: "float | None",
-    retry_backoff_s: float,
-    journal: "ShardJournal | None",
-    chaos,
+    on_commit=None,
+    fallback: bool = False,
 ) -> None:
-    """Evaluate ``pending`` shards (pool when possible, else in-process)."""
-    profiling = _profiler.profiling_enabled()
-    shards = [
-        (shapes[lo:hi], dtype.name, gpu, profiling, idx, 0)
-        for idx, (lo, hi) in enumerate(bounds)
-    ]
-    # Warm the persistent calibration cache before forking so workers hit
-    # the memo (fork) or the on-disk store (spawn) instead of racing on
-    # the simulator microbenchmarks.
-    calibrate_cached(gpu, Blocking(*dtype.default_blocking), dtype)
-    with span("sharded_pool"), _drain_signals():
-        if jobs == 1:
-            _run_shards_serial(
-                shards, dtype, gpu, results, pending, journal, chaos
+    """The one in-process shard loop: journal, evaluate, commit, hook.
+
+    Runs ``jobs=1`` sweeps and every fallback of the fabric (a worker
+    whose lease I/O fails, a parent whose workers are all gone, a join
+    that cannot lease); ``fallback`` counts each shard in
+    ``fabric.serial_fallback_shards``.  Leases are ignored: re-evaluating
+    a shard a silent peer also holds is safe (digest-idempotent commits)
+    and finishing the sweep beats waiting on lease state.
+    """
+    for i in pending:
+        _check_drain()
+        lo, hi = jr.bounds[i]
+        fp = _shard_content_fp(shapes[lo:hi])
+        jr.record_started(i, fingerprint=fp)
+        with span("shard"):
+            results[i] = evaluate_corpus(shapes[lo:hi], dtype, gpu)
+        _counters.inc_counter("harness.shards_ok")
+        if fallback:
+            _counters.inc_counter("fabric.serial_fallback_shards")
+        jr.record_done(i, results[i], fingerprint=fp)
+        if on_commit is not None:
+            on_commit(i)
+
+
+def _merge_shards(
+    shapes: np.ndarray,
+    dtype: DtypeConfig,
+    gpu: GpuSpec,
+    jr: ShardJournal,
+    results: "list[SystemTimings | None]",
+) -> SystemTimings:
+    """Merge barrier: every shard in order, from memory or the journal.
+
+    A shard this process did not evaluate is loaded digest-verified from
+    the journal; one whose artifact is missing or fails verification is
+    re-evaluated in-process (``fabric.merge_reevaluated``) — the merge
+    never trusts an unverified byte, and determinism makes the repaired
+    result identical to the journaled one.
+    """
+    jr.refresh_completed()
+    parts: "list[SystemTimings]" = []
+    for i, (lo, hi) in enumerate(jr.bounds):
+        res = results[i] if results[i] is not None else jr.load_completed(i)
+        if res is None:
+            _counters.inc_counter("fabric.merge_reevaluated")
+            res = evaluate_corpus(shapes[lo:hi], dtype, gpu)
+            jr.record_done(
+                i, res, fingerprint=_shard_content_fp(shapes[lo:hi])
             )
-            return
-        try:
-            ctx = multiprocessing.get_context()
-            pool_cm = _managed_pool(ctx, min(jobs, len(pending)))
-            pool = pool_cm.__enter__()
-        except Exception:
-            # No pool at all (fork limits, sandboxing): evaluate serially.
-            _counters.inc_counter("harness.pool_unusable")
-            for i in pending:
-                _check_drain()
-                if journal is not None:
-                    journal.record_started(
-                        i, fingerprint=_shard_content_fp(shards[i][0])
-                    )
-                results[i] = _eval_shard_serial(shards[i][0], dtype, gpu)
-                _commit_shard(journal, chaos, i, shards[i], results[i])
-            return
-        try:
-            _run_shards_self_healing(
-                pool,
-                shards,
-                dtype,
-                gpu,
-                max_retries=max_retries,
-                shard_timeout=shard_timeout,
-                retry_backoff_s=retry_backoff_s,
-                results=results,
-                pending=pending,
-                journal=journal,
-                chaos=chaos,
-            )
-        finally:
-            pool_cm.__exit__(None, None, None)
+        parts.append(res)
+    with span("merge_shards"):
+        return merge_timings(parts)
+
+
+def _interrupted(exc: SweepInterrupted, jr: ShardJournal) -> None:
+    """Stamp a drain with the journal's durable progress."""
+    exc.completed = len(jr.refresh_completed())
+    exc.total = len(jr.bounds)
+    exc.journal_dir = jr.directory
 
 
 def evaluate_corpus_sharded(
@@ -556,9 +325,6 @@ def evaluate_corpus_sharded(
     gpu: GpuSpec,
     jobs: "int | None" = None,
     shard_rows: "int | None" = None,
-    max_retries: int = _DEFAULT_MAX_RETRIES,
-    shard_timeout: "float | None" = _DEFAULT_SHARD_TIMEOUT_S,
-    retry_backoff_s: float = _DEFAULT_RETRY_BACKOFF_S,
     journal: "str | None" = None,
     resume: bool = False,
     chaos=None,
@@ -568,101 +334,109 @@ def evaluate_corpus_sharded(
     heartbeat_seconds: "float | None" = None,
     chaos_worker=None,
 ) -> SystemTimings:
-    """Evaluate a corpus across ``jobs`` worker processes, self-healing.
+    """Evaluate a corpus across ``jobs`` fabric worker processes.
 
-    ``jobs=None``/``1`` runs in-process (no pool); ``jobs<=0`` means "one
-    per available CPU" (affinity-aware).  ``shard_rows`` overrides the
-    shard size (default: roughly four shards per worker for load balance,
-    never below ``_MIN_SHARD_ROWS``).  Results are independent of every
-    knob: a worker crash, a hung shard (``shard_timeout`` seconds — also
-    the per-shard watchdog deadline — ``None`` disables), exhausted
-    retries (``max_retries``, exponential ``retry_backoff_s`` base), or
-    an unusable pool all degrade to in-process evaluation of the affected
-    shards, and the merged result stays bitwise identical to the
-    single-process evaluation.
+    ``jobs=None``/``1`` runs in-process; ``jobs<=0`` means "one per
+    available CPU" (affinity-aware); ``workers`` is a second spelling of
+    ``jobs``.  ``shard_rows`` overrides the shard size (default: roughly
+    four shards per worker for load balance, never below
+    ``_MIN_SHARD_ROWS``).  ``jobs > 1`` runs the lease fabric
+    (:func:`repro.harness.fabric.run_workers`) over ``journal``, or over
+    a temporary journal when none is given: workers claim shards,
+    heartbeat while evaluating, and a dead worker's shard is claimed
+    again after ``lease_seconds``.  ``chaos_worker``
+    (:class:`repro.faults.chaos.ChaosWorkerKill` or a ``POINT[:K]``
+    spec) arms a kill point in worker 0.  The result is independent of
+    every knob: raising, crashing or unstartable workers all end in the
+    bitwise-identical single-process result.
 
     ``journal=DIR`` makes the sweep **durable** (docs/CHECKPOINTING.md):
     each shard completion is committed to a write-ahead journal under
     ``DIR`` the moment it lands, ``resume=True`` replays the journal and
-    skips digest-verified completed shards, and killing the process at
-    any instant — including SIGKILL via ``chaos``
-    (:class:`repro.faults.chaos.ChaosKill`) — loses at most the open
-    shards.  SIGINT/SIGTERM during any sharded sweep drain cleanly:
+    skips digest-verified completed shards (``resume=False`` starts the
+    journal afresh), and killing the process at any instant — including
+    SIGKILL via ``chaos`` (:class:`repro.faults.chaos.ChaosKill`, fired
+    after each commit the parent observes) — loses at most the open
+    shards.  SIGINT/SIGTERM during a sharded sweep drain cleanly:
     dispatch stops, workers are reaped, and
     :class:`~repro.errors.SweepInterrupted` is raised.
 
-    ``workers > 1`` or ``join=True`` routes the sweep through the
-    **lease fabric** (:mod:`repro.harness.fabric`): worker processes
-    claim shards from the shared journal via atomic leases, heartbeat
-    while evaluating, and dead workers' shards are reclaimed after
-    ``lease_seconds`` — both require ``journal``.  ``chaos_worker``
-    (:class:`repro.faults.chaos.ChaosWorkerKill` or a ``POINT[:K]``
-    spec) arms a worker-targeted kill point.  A fabric that cannot run
-    at all (lease-I/O failure, unusable journal) degrades to this
-    function's ordinary journaled path (``fabric.unusable``) — never
-    an abort.
+    ``join=True`` joins a (possibly concurrent) sweep rooted at
+    ``journal`` as one worker (:func:`repro.harness.fabric.join_sweep`);
+    a join that cannot run at all degrades to this function's ordinary
+    journaled path (``fabric.unusable``) — never an abort.
     """
     shapes = np.asarray(shapes, dtype=np.int64)
-    jobs = _resolve_jobs(jobs)
+    jobs = _resolve_jobs(workers if workers is not None else jobs)
     n = shapes.shape[0]
 
-    if join or (workers is not None and workers > 1):
+    if join:
         if journal is None:
             raise ConfigurationError(
-                "the lease fabric (workers/join) requires a shared "
-                "journal directory: pass journal=DIR"
+                "joining a fabric sweep requires its shared journal "
+                "directory: pass journal=DIR"
             )
         from . import fabric  # local import: fabric imports this module
 
         try:
-            if join:
-                return fabric.join_sweep(
-                    shapes, dtype, gpu, journal,
-                    shard_rows=shard_rows,
-                    lease_seconds=lease_seconds,
-                    heartbeat_seconds=heartbeat_seconds,
-                    chaos=chaos_worker,
-                )
-            return fabric.fabric_sweep(
+            return fabric.join_sweep(
                 shapes, dtype, gpu, journal,
-                workers=workers,
                 shard_rows=shard_rows,
                 lease_seconds=lease_seconds,
                 heartbeat_seconds=heartbeat_seconds,
-                chaos_worker=chaos_worker,
+                chaos=chaos_worker,
             )
         except (SweepInterrupted, ConfigurationError):
             raise
         except Exception:
-            # Degradation ladder: a fabric that cannot run falls back
-            # to the ordinary journaled single-process path below.
+            # Degradation ladder: a join that cannot run falls back to
+            # the ordinary journaled path below.
             _counters.inc_counter("fabric.unusable")
-    if journal is None and (jobs == 1 or n <= _MIN_SHARD_ROWS):
-        return evaluate_corpus(shapes, dtype, gpu)
-
-    bounds = _shard_bounds(n, jobs, shard_rows)
+    scratch = None
     if journal is None:
-        results: "list[SystemTimings | None]" = [None] * len(bounds)
-        _sweep_shards(
-            shapes, dtype, gpu, jobs, bounds, results,
-            list(range(len(bounds))), max_retries, shard_timeout,
-            retry_backoff_s, journal=None, chaos=chaos,
+        if jobs == 1 or n <= _MIN_SHARD_ROWS:
+            return evaluate_corpus(shapes, dtype, gpu)
+        journal = scratch = tempfile.mkdtemp(prefix="repro-sweep-")
+    try:
+        return _journaled_sweep(
+            shapes, dtype, gpu, jobs, shard_rows, journal, resume,
+            chaos, lease_seconds, heartbeat_seconds, chaos_worker,
         )
-        with span("merge_shards"):
-            return merge_timings([r for r in results if r is not None])
+    except SweepInterrupted as exc:
+        if scratch is not None:
+            # Nothing survives a temporary journal to resume from.
+            exc.completed = exc.total = exc.journal_dir = None
+        raise
+    finally:
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)
 
-    key = corpus_fingerprint(shapes, dtype, gpu)
+
+def _journaled_sweep(
+    shapes: np.ndarray,
+    dtype: DtypeConfig,
+    gpu: GpuSpec,
+    jobs: int,
+    shard_rows: "int | None",
+    journal: str,
+    resume: bool,
+    chaos,
+    lease_seconds: "float | None",
+    heartbeat_seconds: "float | None",
+    chaos_worker,
+) -> SystemTimings:
+    """Open the journal, evaluate its open shards, merge, compact."""
     jr = ShardJournal.open(
         journal,
-        corpus_key=key,
-        bounds=bounds,
+        corpus_key=corpus_fingerprint(shapes, dtype, gpu),
+        bounds=_shard_bounds(shapes.shape[0], jobs, shard_rows),
         resume=resume,
         dtype_name=dtype.name,
         gpu_name=gpu.name,
     )
     try:
-        bounds = jr.bounds  # resumed journals own the shard layout
-        results = [None] * len(bounds)
+        # Resumed journals own the shard layout.
+        results: "list[SystemTimings | None]" = [None] * len(jr.bounds)
         for i in sorted(jr.completed):
             res = jr.load_completed(i)
             if res is not None:
@@ -670,19 +444,33 @@ def evaluate_corpus_sharded(
                 _counters.inc_counter("journal.skipped_shards")
         pending = [i for i, r in enumerate(results) if r is None]
         if pending:
-            try:
-                _sweep_shards(
-                    shapes, dtype, gpu, jobs, bounds, results, pending,
-                    max_retries, shard_timeout, retry_backoff_s,
-                    journal=jr, chaos=chaos,
-                )
-            except SweepInterrupted as exc:
-                exc.completed = sum(r is not None for r in results)
-                exc.total = len(results)
-                exc.journal_dir = journal
-                raise
-        with span("merge_shards"):
-            merged = merge_timings([r for r in results if r is not None])
+            # Warm the persistent calibration cache before forking so
+            # workers hit the memo instead of racing on microbenchmarks.
+            calibrate_cached(gpu, Blocking(*dtype.default_blocking), dtype)
+            on_commit = _commit_hooks(chaos)
+            with span("sharded_pool"), _drain_signals():
+                try:
+                    # A degraded journal cannot coordinate workers.
+                    if jobs == 1 or jr.degraded:
+                        _run_shards_serial(
+                            shapes, dtype, gpu, jr, results, pending,
+                            on_commit=on_commit,
+                        )
+                    else:
+                        from . import fabric
+
+                        fabric.run_workers(
+                            shapes, dtype, gpu, jr, results,
+                            workers=min(jobs, len(pending)),
+                            lease_seconds=lease_seconds,
+                            heartbeat_seconds=heartbeat_seconds,
+                            chaos_worker=chaos_worker,
+                            on_commit=on_commit,
+                        )
+                except SweepInterrupted as exc:
+                    _interrupted(exc, jr)
+                    raise
+        merged = _merge_shards(shapes, dtype, gpu, jr, results)
         jr.compact()
         return merged
     finally:

@@ -244,11 +244,12 @@ def get_profile() -> Profile:
 def reset_profile() -> None:
     """Drop all recorded spans and this thread's open-span stack.
 
-    Clearing the stack matters for forked pool workers: the child
+    Clearing the stack matters for forked sweep workers: the child
     inherits the parent's thread-local stack (the parent forks while
     inside ``span("sharded_pool")``), and without a reset every worker
-    span would be misrooted under the parent's open span.  Worker entry
-    points (``_eval_shard``) call this before recording anything.
+    span would be misrooted under the parent's open span.  The fabric
+    worker entry point (``fabric._fabric_worker_main``) calls this
+    before recording anything.
     """
     _PROFILE.clear()
     _LOCAL.stack = []

@@ -90,3 +90,20 @@ class TestCorpusExperiments:
         t1 = relative_performance_table(FP64, spec=SMALL)
         t2 = relative_performance_table(FP64, spec=SMALL)
         assert t1["vs cuBLAS"].average == t2["vs cuBLAS"].average
+
+
+class TestJobsEnv:
+    def test_junk_repro_jobs_names_the_value(self, monkeypatch):
+        from repro.errors import ConfigurationError
+        from repro.harness.experiments import corpus_timings
+
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        with pytest.raises(ConfigurationError, match="REPRO_JOBS='abc'"):
+            corpus_timings(FP64, spec=SMALL)
+
+    @pytest.mark.parametrize("raw, jobs", [("", 1), (" 2 ", 2), ("0", 0)])
+    def test_repro_jobs_parses_integers(self, monkeypatch, raw, jobs):
+        from repro.harness.experiments import _env_jobs
+
+        monkeypatch.setenv("REPRO_JOBS", raw)
+        assert _env_jobs() == jobs

@@ -2,7 +2,7 @@
 
 In-process tests of :mod:`repro.harness.fabric` — the lease manager
 units, the worker loop via :func:`join_sweep`, wedged-worker reclaim,
-chaos kill seams, multi-process :func:`fabric_sweep`, and the routing
+chaos kill seams, the ``jobs > 1`` worker fabric, and the routing
 through :func:`evaluate_corpus_sharded`.  The real-SIGKILL multi-worker
 matrix (byte-identical merged ``.npz``) runs through the CLI in the CI
 ``fabric`` job and in :class:`TestRealWorkerKill` below.
@@ -13,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -28,12 +29,12 @@ from repro.harness.fabric import (
     DEFAULT_HEARTBEAT_FRACTION,
     DEFAULT_LEASE_SECONDS,
     LeaseManager,
-    fabric_sweep,
     join_sweep,
     make_worker_id,
     resolve_heartbeat_seconds,
     resolve_lease_seconds,
 )
+from repro.harness.journal import read_wal_records
 from repro.harness.parallel import clear_eval_memo, evaluate_corpus_sharded
 from repro.harness.vectorized import evaluate_corpus
 from repro.obs.counters import get_counter, reset_counters
@@ -284,18 +285,46 @@ class TestJoinSweep:
         assert get_counter("fabric.claims") < NSHARDS
 
 
+def _sweep2(shapes, jdir=None, **kw):
+    kw.setdefault("jobs", 2)
+    return evaluate_corpus_sharded(
+        shapes, FP64, HYPOTHETICAL_4SM, journal=jdir,
+        shard_rows=SHARD_ROWS, **kw
+    )
+
+
 class TestFabricSweep:
+    """``jobs > 1``: the parent forks fabric workers over the journal."""
+
     def test_two_workers_bitwise_and_compacted(
         self, shapes, reference, tmp_path
     ):
         jdir = str(tmp_path / "j")
-        got = fabric_sweep(
-            shapes, FP64, HYPOTHETICAL_4SM, jdir,
-            workers=2, shard_rows=SHARD_ROWS,
-        )
+        got = _sweep2(shapes, jdir)
         assert_timings_equal(got, reference)
         # The parent compacts once the children are reaped.
         assert os.path.exists(os.path.join(jdir, "checkpoint.json"))
+        # Every shard was evaluated exactly once, in a worker, and the
+        # workers' counters were shipped home.
+        assert get_counter("fabric.commits") == NSHARDS
+        assert get_counter("harness.shards_ok") == NSHARDS
+        assert get_counter("fabric.workers_lost") == 0
+
+    @pytest.mark.parametrize("journaled", [True, False])
+    @pytest.mark.parametrize("jobs", [1, 2, 0])
+    def test_bitwise_at_every_jobs_value(
+        self, shapes, reference, tmp_path, jobs, journaled
+    ):
+        jdir = str(tmp_path / "j") if journaled else None
+        assert_timings_equal(_sweep2(shapes, jdir, jobs=jobs), reference)
+
+    def test_journal_less_sweep_removes_its_temporary_journal(
+        self, shapes, reference, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert_timings_equal(_sweep2(shapes), reference)
+        assert get_counter("fabric.commits") == NSHARDS
+        assert os.listdir(str(tmp_path)) == []
 
     def test_parent_fallback_when_no_worker_can_run(
         self, shapes, reference, tmp_path, monkeypatch
@@ -306,14 +335,67 @@ class TestFabricSweep:
         monkeypatch.setattr(
             fabric_mod.multiprocessing, "get_context", no_fork
         )
-        got = fabric_sweep(
-            shapes, FP64, HYPOTHETICAL_4SM, str(tmp_path / "j"),
-            workers=2, shard_rows=SHARD_ROWS,
-        )
+        for jdir in (str(tmp_path / "j"), None):
+            reset_counters()
+            got = _sweep2(shapes, jdir)
+            assert_timings_equal(got, reference)
+            assert get_counter("fabric.pool_unusable") == 1
+            assert get_counter("fabric.parent_fallback") == 1
+            assert get_counter("fabric.serial_fallback_shards") == NSHARDS
+
+    def test_no_resume_reinitializes_a_matching_journal(
+        self, shapes, reference, tmp_path
+    ):
+        jdir = str(tmp_path / "j")
+        _sweep2(shapes, jdir)
+        reset_counters()
+        got = _sweep2(shapes, jdir, resume=False)
         assert_timings_equal(got, reference)
-        assert get_counter("fabric.pool_unusable") == 1
-        assert get_counter("fabric.parent_fallback") == 1
-        assert get_counter("fabric.serial_fallback_shards") == NSHARDS
+        assert get_counter("journal.skipped_shards") == 0
+        assert get_counter("fabric.commits") == NSHARDS
+
+    def test_resume_after_interrupt_does_not_wait_out_leases(
+        self, shapes, reference, tmp_path, monkeypatch
+    ):
+        """Workers terminated by a drain leave their lease files behind;
+        the resuming parent clears them instead of waiting the budget."""
+        from repro.errors import SweepInterrupted
+        from repro.harness import parallel
+
+        def interrupt(event, shard_index):
+            raise SweepInterrupted()
+
+        jdir = str(tmp_path / "j")
+        monkeypatch.setattr(parallel, "_DISPATCH_HOOK", interrupt)
+        with pytest.raises(SweepInterrupted):
+            _sweep2(shapes, jdir, lease_seconds=60.0)
+        monkeypatch.setattr(parallel, "_DISPATCH_HOOK", None)
+        t0 = time.monotonic()
+        got = _sweep2(shapes, jdir, resume=True, lease_seconds=60.0)
+        assert_timings_equal(got, reference)
+        assert time.monotonic() - t0 < 30.0
+        assert get_counter("fabric.lease_expired") == 0
+
+    def test_resume_of_a_complete_journal_forks_nothing(
+        self, shapes, reference, tmp_path, monkeypatch
+    ):
+        jdir = str(tmp_path / "j")
+        _sweep2(shapes, jdir)
+        reset_counters()
+        forks = []
+
+        def counting_context():
+            forks.append(1)
+            raise OSError("must not fork")
+
+        monkeypatch.setattr(
+            fabric_mod.multiprocessing, "get_context", counting_context
+        )
+        got = _sweep2(shapes, jdir, resume=True)
+        assert_timings_equal(got, reference)
+        assert forks == []
+        assert get_counter("journal.skipped_shards") == NSHARDS
+        assert get_counter("harness.shards_ok") == 0
 
 
 class TestRouting:
@@ -335,11 +417,14 @@ class TestRouting:
         got = self._sharded(shapes, journal=str(tmp_path / "j"), workers=2)
         assert_timings_equal(got, reference)
 
-    def test_fabric_without_journal_is_config_error(self, shapes):
-        with pytest.raises(ConfigurationError, match="journal"):
-            self._sharded(shapes, workers=2)
+    def test_join_without_journal_is_config_error(self, shapes):
         with pytest.raises(ConfigurationError, match="journal"):
             self._sharded(shapes, join=True)
+
+    def test_workers_is_a_second_spelling_of_jobs(self, shapes, reference):
+        got = self._sharded(shapes, workers=2)
+        assert_timings_equal(got, reference)
+        assert get_counter("fabric.commits") == NSHARDS
 
     def test_broken_fabric_falls_back_to_journaled_path(
         self, shapes, reference, tmp_path, monkeypatch
@@ -397,3 +482,49 @@ class TestRealWorkerKill:
         assert sorted(a.files) == sorted(b.files)
         for key in a.files:
             assert a[key].tobytes() == b[key].tobytes(), key
+
+    def test_parent_sigkill_leaves_no_worker_appending(self, tmp_path):
+        """ChaosKill SIGKILLs the ``--jobs 2`` parent after the first
+        commit it observes: its orphaned workers stop claiming, the WAL
+        goes quiet, and a resume merges byte-identically."""
+        size = ["--size", "3000", "--shard-rows", "64"]  # 47 shards
+        ref = str(tmp_path / "ref.npz")
+        out = str(tmp_path / "resumed.npz")
+        jdir = str(tmp_path / "j")
+        wal = os.path.join(jdir, "wal.bin")
+        plain = self._run(size + ["--journal", str(tmp_path / "jref"),
+                                  "--out", ref], tmp_path)
+        assert plain.returncode == 0, plain.stderr
+        killed = self._run(size + ["--journal", jdir, "--jobs", "2",
+                                   "--chaos-kill-after", "1"], tmp_path)
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        records, _, _ = read_wal_records(wal)
+        pids = {int(r["worker"].split(":")[1])
+                for r in records if r.get("kind") == "shard_claimed"}
+        assert pids, "no worker ever claimed a shard"
+        deadline = time.monotonic() + 60.0
+        while any(_running(pid) for pid in pids):
+            assert time.monotonic() < deadline, "orphaned workers still run"
+            time.sleep(0.05)
+        quiet = os.path.getsize(wal)
+        time.sleep(0.5)
+        assert os.path.getsize(wal) == quiet
+        done = {r["shard"] for r in read_wal_records(wal)[0]
+                if r.get("kind") == "shard_done"}
+        assert len(done) < 47, "the sweep finished before the kill"
+        resumed = self._run(size + ["--journal", jdir, "--jobs", "2",
+                                    "--resume", "--out", out], tmp_path)
+        assert resumed.returncode == 0, resumed.stderr
+        a = np.load(ref, allow_pickle=False)
+        b = np.load(out, allow_pickle=False)
+        for key in a.files:
+            assert a[key].tobytes() == b[key].tobytes(), key
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open("/proc/%d/stat" % pid) as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False

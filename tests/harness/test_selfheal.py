@@ -1,8 +1,10 @@
 """Self-healing sharded evaluation + evaluation-cache quarantine.
 
-The acceptance bar: killing or failing a pool worker mid-sweep must
-yield the bitwise-exact corpus result through retry or serial fallback,
-with every recovery step visible in the ``harness.*`` obs counters.
+The acceptance bar: a fabric worker that raises or dies mid-sweep must
+yield the bitwise-exact corpus result — a peer claims its shard, or the
+parent finishes the sweep — with every recovery step visible in the
+``fabric.*`` obs counters.  (A fork that cannot start is covered by
+``test_fabric.py::TestFabricSweep::test_parent_fallback_when_no_worker_can_run``.)
 """
 
 import os
@@ -47,87 +49,61 @@ def _fresh_state(monkeypatch):
     reset_counters()
 
 
-def _raise_on_first_attempt(shard_index, attempt):
-    if attempt == 0:
-        raise RuntimeError("injected shard failure (shard %d)" % shard_index)
+def _raise_in_worker0(shard_index, worker_index):
+    if worker_index == 0:
+        raise RuntimeError("injected failure (worker 0, shard %d)" % shard_index)
 
 
-def _crash_shard0_attempt0(shard_index, attempt):
-    if shard_index == 0 and attempt == 0:
-        os._exit(1)  # hard worker death: the result never arrives
+def _crash_worker0(shard_index, worker_index):
+    if worker_index == 0:
+        os._exit(1)  # hard death while holding the shard's lease
 
 
-def _always_raise(shard_index, attempt):
+def _always_raise(shard_index, worker_index):
     raise RuntimeError("permanently failing shard %d" % shard_index)
 
 
 class TestRetry:
+    """Failing fabric workers: a peer or the parent re-runs their shards."""
+
+    def _sweep(self, shapes, **kw):
+        return evaluate_corpus_sharded(
+            shapes, FP64, A100, jobs=2, shard_rows=175, **kw
+        )
+
     def test_failing_workers_retry_to_exact_result(
         self, shapes, reference, monkeypatch
     ):
-        monkeypatch.setattr(
-            parallel, "_SHARD_FAULT_HOOK", _raise_on_first_attempt
-        )
-        got = evaluate_corpus_sharded(
-            shapes, FP64, A100, jobs=2, shard_rows=350, retry_backoff_s=0.0
-        )
+        monkeypatch.setattr(parallel, "_SHARD_FAULT_HOOK", _raise_in_worker0)
+        got = self._sweep(shapes)
         assert_timings_equal(got, reference)
-        assert get_counter("harness.shard_failures") == 2  # both shards
-        assert get_counter("harness.shard_retries") == 2
-        assert get_counter("harness.shards_ok") == 2
-        assert get_counter("harness.shard_serial_fallbacks") == 0
+        # Worker 0 released its lease as it died; worker 1 ran all four.
+        assert get_counter("fabric.workers_lost") == 1
+        assert get_counter("harness.shards_ok") == 4
+        assert get_counter("fabric.parent_fallback") == 0
 
     def test_crashed_worker_times_out_and_retries(
         self, shapes, reference, monkeypatch
     ):
-        monkeypatch.setattr(
-            parallel, "_SHARD_FAULT_HOOK", _crash_shard0_attempt0
-        )
-        got = evaluate_corpus_sharded(
-            shapes,
-            FP64,
-            A100,
-            jobs=2,
-            shard_rows=350,
-            shard_timeout=5.0,
-            retry_backoff_s=0.0,
-        )
+        monkeypatch.setattr(parallel, "_SHARD_FAULT_HOOK", _crash_worker0)
+        got = self._sweep(shapes, lease_seconds=0.5, heartbeat_seconds=0.1)
         assert_timings_equal(got, reference)
-        assert get_counter("harness.shard_timeouts") >= 1
-        assert get_counter("harness.shard_retries") >= 1
+        # The dead worker's lease outlived its budget and was reclaimed.
+        assert get_counter("fabric.workers_lost") == 1
+        assert get_counter("fabric.lease_expired") >= 1
+        assert get_counter("fabric.reclaims") >= 1
+        assert get_counter("fabric.steals") >= 1
 
     def test_exhausted_retries_fall_back_to_serial(
         self, shapes, reference, monkeypatch
     ):
         monkeypatch.setattr(parallel, "_SHARD_FAULT_HOOK", _always_raise)
-        got = evaluate_corpus_sharded(
-            shapes,
-            FP64,
-            A100,
-            jobs=2,
-            shard_rows=350,
-            max_retries=1,
-            retry_backoff_s=0.0,
-        )
+        got = self._sweep(shapes)
         assert_timings_equal(got, reference)
-        assert get_counter("harness.shard_serial_fallbacks") == 2
-        assert get_counter("harness.shard_retries") == 2  # one per shard
-        assert get_counter("harness.shards_ok") == 0
-
-    def test_unusable_pool_degrades_to_all_serial(
-        self, shapes, reference, monkeypatch
-    ):
-        class BrokenCtx:
-            def Pool(self, processes):
-                raise OSError("fork denied")
-
-        monkeypatch.setattr(
-            parallel.multiprocessing, "get_context", lambda: BrokenCtx()
-        )
-        got = evaluate_corpus_sharded(shapes, FP64, A100, jobs=2, shard_rows=350)
-        assert_timings_equal(got, reference)
-        assert get_counter("harness.pool_unusable") == 1
-        assert get_counter("harness.shard_serial_fallbacks") == 2
+        assert get_counter("fabric.workers_lost") == 2
+        assert get_counter("fabric.parent_fallback") == 1
+        assert get_counter("fabric.serial_fallback_shards") == 4
+        assert get_counter("fabric.commits") == 0
 
 
 class TestResolveJobs:
