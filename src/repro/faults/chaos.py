@@ -81,8 +81,8 @@ class ChaosWorkerKill:
     boundaries the reclaim protocol must absorb:
 
     ``claim``
-        immediately after the worker durably journals ``shard_claimed``
-        (the lease file exists, no evaluation has happened);
+        immediately after the worker wins the lease and durably
+        journals ``shard_started`` (no evaluation has happened);
     ``eval``
         mid-evaluation — after the heartbeat thread has started, before
         any result exists;

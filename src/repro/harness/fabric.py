@@ -17,11 +17,12 @@ How a shard flows through the fabric:
 
 1. **Claim** — a worker creates ``leases/shard_NNNNN.lease`` with
    ``O_CREAT | O_EXCL``, binding the lease to its identity
-   (``host:pid:nonce``).  Exactly one creator wins; the claim is then
-   journaled as ``shard_claimed`` (forensics).
+   (``host:pid:nonce``).  Exactly one creator wins and journals
+   ``shard_started`` with its identity (forensics).  The lease file is
+   the only record of who holds a claim.
 2. **Heartbeat** — while evaluating, a daemon thread atomically
    rewrites the lease file with an incrementing sequence number every
-   ``heartbeat_seconds`` and journals ``shard_heartbeat``.
+   ``heartbeat_seconds``; the WAL is not touched.
 3. **Commit** — the result goes through the journal's existing
    artifact-then-``shard_done`` protocol (npz published + fsync'd
    *before* the record lands), then the lease is released.
@@ -30,9 +31,8 @@ How a shard flows through the fabric:
    longer than ``lease_seconds`` — measured on the observer's own
    monotonic clock from when it first saw that content, so no
    cross-process clock comparison is ever made — belongs to a dead,
-   SIGKILLed, or wedged worker: the observer journals
-   ``shard_reclaimed``, unlinks the lease, and the shard is claimable
-   again (``fabric.lease_expired`` / ``fabric.reclaims``).
+   SIGKILLed, or wedged worker: the observer unlinks the lease, and the
+   shard is claimable again (``fabric.lease_expired`` / ``fabric.reclaims``).
 
 **Why double execution is safe.**  Leases are liveness metadata, never
 a safety mechanism.  Shard evaluation is deterministic — the same rows
@@ -69,13 +69,13 @@ import multiprocessing
 import os
 import signal
 import socket
-import tempfile
 import threading
 import time
 from multiprocessing.connection import wait as _wait_ready
 
 import numpy as np
 
+from ..durable import publish, wipe
 from ..errors import SweepInterrupted
 from ..faults.chaos import ChaosWorkerKill
 from ..gemm.dtypes import DtypeConfig, get_dtype_config
@@ -254,21 +254,7 @@ class LeaseManager:
 
     def heartbeat(self, shard: int, seq: int) -> None:
         """Renew the lease: atomic rewrite with a fresh sequence number."""
-        fd, tmp = tempfile.mkstemp(
-            dir=self.lease_dir, prefix=".hb_", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(self._payload(seq))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.lease_path(shard))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        publish(self.lease_path(shard), self._payload(seq))
 
     def release(self, shard: int) -> None:
         """Drop a lease this worker holds (best-effort)."""
@@ -331,19 +317,10 @@ class _HeartbeatThread(threading.Thread):
     first.
     """
 
-    def __init__(
-        self,
-        lease: LeaseManager,
-        journal: ShardJournal,
-        shard: int,
-        worker_id: str,
-        interval_s: float,
-    ):
+    def __init__(self, lease: LeaseManager, shard: int, interval_s: float):
         super().__init__(name="fabric-heartbeat", daemon=True)
         self._lease = lease
-        self._journal = journal
         self._shard = shard
-        self._worker_id = worker_id
         self._interval_s = interval_s
         self._stop_evt = threading.Event()
 
@@ -356,9 +333,6 @@ class _HeartbeatThread(threading.Thread):
             except OSError:
                 _counters.inc_counter("fabric.heartbeat_failed")
                 return
-            self._journal.record_heartbeat(
-                self._shard, self._worker_id, seq
-            )
             _counters.inc_counter("fabric.heartbeats")
 
     def stop(self) -> None:
@@ -394,7 +368,6 @@ def _worker_loop(
     gpu: GpuSpec,
     jr: ShardJournal,
     lease: LeaseManager,
-    worker_id: str,
     heartbeat_seconds: float,
     claim_offset: int = 0,
     chaos: "ChaosWorkerKill | None" = None,
@@ -438,17 +411,16 @@ def _worker_loop(
             _counters.inc_counter("fabric.claims")
             if i in reclaimed:
                 _counters.inc_counter("fabric.steals")
-            jr.record_claimed(i, worker_id)
+            lo, hi = bounds[i]
+            fp = _shard_content_fp(shapes[lo:hi])
+            jr.record_started(i, fingerprint=fp, worker=lease.worker_id)
             if chaos is not None:
                 chaos.on_event("claim")
-            hb = _HeartbeatThread(
-                lease, jr, i, worker_id, heartbeat_seconds
-            )
+            hb = _HeartbeatThread(lease, i, heartbeat_seconds)
             hb.start()
             try:
                 if _parallel._SHARD_FAULT_HOOK is not None:
                     _parallel._SHARD_FAULT_HOOK(i, claim_offset)
-                lo, hi = bounds[i]
                 if chaos is not None:
                     chaos.on_event("eval")
                 with span("shard"):
@@ -456,9 +428,7 @@ def _worker_loop(
                 _counters.inc_counter("harness.shards_ok")
                 if chaos is not None:
                     chaos.on_event("commit")
-                jr.record_done(
-                    i, res, fingerprint=_shard_content_fp(shapes[lo:hi])
-                )
+                jr.record_done(i, res, fingerprint=fp)
                 _counters.inc_counter("fabric.commits")
             finally:
                 hb.stop()
@@ -475,7 +445,6 @@ def _worker_loop(
             _counters.inc_counter("fabric.lease_expired")
             if lease.reclaim(i):
                 _counters.inc_counter("fabric.reclaims")
-                jr.record_reclaimed(i, worker_id)
                 reclaimed.add(i)
         if not expired:
             time.sleep(_FABRIC_POLL_S)
@@ -511,7 +480,6 @@ def join_sweep(
     jr = ShardJournal.open_shared(
         journal_dir, key, bounds, dtype.name, gpu.name
     )
-    wid = worker_id or make_worker_id()
     try:
         if jr.degraded:
             _counters.inc_counter("fabric.degraded")
@@ -521,9 +489,11 @@ def join_sweep(
         with span("fabric_join"), _drain_signals():
             try:
                 try:
-                    lease = LeaseManager(journal_dir, wid, lease_s)
+                    lease = LeaseManager(
+                        journal_dir, worker_id or make_worker_id(), lease_s
+                    )
                     _worker_loop(
-                        shapes, dtype, gpu, jr, lease, wid, hb_s,
+                        shapes, dtype, gpu, jr, lease, hb_s,
                         chaos=chaos, check_stop=_check_drain,
                     )
                 except OSError:
@@ -602,11 +572,12 @@ def _fabric_worker_main(
     try:
         if jr.degraded:
             return  # the parent's fallback finishes the sweep
-        wid = make_worker_id(worker_index)
         try:
-            lease = LeaseManager(journal_dir, wid, lease_seconds)
+            lease = LeaseManager(
+                journal_dir, make_worker_id(worker_index), lease_seconds
+            )
             _worker_loop(
-                shapes, dtype, gpu, jr, lease, wid, heartbeat_seconds,
+                shapes, dtype, gpu, jr, lease, heartbeat_seconds,
                 claim_offset=worker_index, chaos=chaos,
                 check_stop=check_parent, on_commit=on_commit,
             )
@@ -629,16 +600,7 @@ def _clear_leases(directory: str) -> None:
     there was left by a worker of an earlier run that was killed — its
     shard is claimable now, not after the lease budget runs out.
     """
-    lease_dir = os.path.join(directory, _LEASES_SUBDIR)
-    try:
-        names = os.listdir(lease_dir)
-    except OSError:
-        return
-    for name in names:
-        try:
-            os.unlink(os.path.join(lease_dir, name))
-        except OSError:
-            pass
+    wipe(os.path.join(directory, _LEASES_SUBDIR))
 
 
 def run_workers(

@@ -18,14 +18,14 @@ Design (see ``docs/CHECKPOINTING.md`` for the full contract):
   bad frame and **truncates the torn tail** (a crash mid-append leaves
   at most one torn record), counted in ``journal.torn_tail_truncated``.
 * **Shard store** (``shards/shard_NNNNN.npz``) — each completed shard's
-  :class:`SystemTimings`, written temp + fsync + atomic rename *before*
-  the ``shard_done`` record is appended.  The record carries a SHA-256
-  **result digest**; on replay every claimed completion is re-read and
-  digest-verified, and a mismatch re-runs the shard
-  (``journal.digest_mismatch``).
+  :class:`SystemTimings`, published atomically (:func:`repro.durable.publish`:
+  temp + fsync + rename) *before* the ``shard_done`` record is appended.
+  The record carries a SHA-256 **result digest**; on replay every
+  claimed completion is re-read and digest-verified, and a mismatch
+  re-runs the shard (``journal.digest_mismatch``).
 * **Checkpoint** (``checkpoint.json``) — compaction target.  When a
   sweep completes (or :meth:`ShardJournal.compact` is called), the done
-  map is written atomically to the checkpoint and the WAL is reset to
+  map is published atomically to the checkpoint and the WAL is reset to
   its header, so replay cost is O(open shards), not O(history).
 * **Binding** — the WAL header and checkpoint carry the sweep's corpus
   key (:func:`repro.harness.parallel.corpus_fingerprint`: corpus bytes +
@@ -42,23 +42,17 @@ Records (``kind`` field):
 =================  ====================================================
 ``sweep_header``   journal format version, corpus key, shard bounds,
                    dtype and GPU names, creation time
-``shard_started``  shard index + shard content fingerprint (forensics)
+``shard_started``  shard index, shard content fingerprint and, from a
+                   fabric worker, its identity (forensics)
 ``shard_done``     shard index, content fingerprint, **result digest**
-``shard_abandoned``  shard index + reason a shard was given up;
-                   resume re-runs it
-``shard_claimed``  shard index + claiming worker identity (lease
-                   fabric, :mod:`repro.harness.fabric`); liveness-only
-``shard_heartbeat``  shard index, worker identity, renewal sequence
-                   number (forensics; replay ignores it)
-``shard_reclaimed``  shard index + reclaiming worker: a prior claim's
-                   lease expired and the shard is claimable again
 =================  ====================================================
 
-Lease records are **liveness metadata, never safety-critical**: replay
-derives completion exclusively from digest-carrying ``shard_done``
-records, so duplicate claims (``journal.duplicate_claim``), reclaims
-without a visible prior claim (``journal.orphan_reclaim``), and lost
-heartbeats can never corrupt a merged result.
+Completion comes exclusively from digest-carrying ``shard_done``
+records; replay skips every other kind, including the lease records
+(``shard_claimed``, ``shard_heartbeat``, ``shard_reclaimed``,
+``shard_abandoned``) that older journals of the same format carry.
+Who holds a claim is recorded only by the fabric's lease files
+(:mod:`repro.harness.fabric`).
 
 Every handle appends through ``O_APPEND`` (atomic for these small
 single-``write`` frames on POSIX filesystems), so many processes can
@@ -73,16 +67,17 @@ torn frame may simply be another worker's append in flight.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import struct
-import tempfile
 import threading
 import time
 import zlib
 
 import numpy as np
 
+from ..durable import publish
 from ..obs.counters import inc_counter
 from ..obs.profiler import span
 from .vectorized import SystemTimings
@@ -160,40 +155,60 @@ def timings_digest(res: SystemTimings) -> str:
     return h.hexdigest()
 
 
+def timings_npz_bytes(res: SystemTimings, **extra) -> bytes:
+    """The one npz encoding of a :class:`SystemTimings`.
+
+    Shard files and ``repro sweep --out`` artifacts carry exactly these
+    fields; ``extra`` adds more (the evaluation cache stores its ``key``).
+    """
+    buf = io.BytesIO()
+    np.savez(
+        buf,
+        **extra,
+        shapes=res.shapes,
+        dtype_name=np.str_(res.dtype_name),
+        gpu_name=np.str_(res.gpu_name),
+        streamk=res.streamk,
+        singleton=res.singleton,
+        cublas=res.cublas,
+        oracle=res.oracle,
+        cublas_choice=res.cublas_choice
+        if res.cublas_choice is not None
+        else np.empty(0, dtype=np.int64),
+        variant_names=np.asarray(res.cublas_variant_names),
+    )
+    return buf.getvalue()
+
+
+def timings_from_npz(doc) -> SystemTimings:
+    """Decode an open npz written by :func:`timings_npz_bytes`.
+
+    Raises ``KeyError``/``ValueError`` on a malformed document.
+    """
+    shapes = doc["shapes"]
+    choice = doc["cublas_choice"]
+    if choice.shape[0] != shapes.shape[0]:
+        choice = None  # evaluation was stored without selections
+    return SystemTimings(
+        shapes=shapes,
+        dtype_name=str(doc["dtype_name"]),
+        gpu_name=str(doc["gpu_name"]),
+        streamk=doc["streamk"],
+        singleton=doc["singleton"],
+        cublas=doc["cublas"],
+        oracle=doc["oracle"],
+        cublas_choice=choice,
+        cublas_variant_names=[str(v) for v in doc["variant_names"]],
+    )
+
+
 def write_timings_npz(path: str, res: SystemTimings) -> None:
-    """Durably persist one :class:`SystemTimings` (temp + fsync + rename).
+    """Durably persist one :class:`SystemTimings` (atomic publish).
 
     Raises :class:`OSError` on filesystem failure (``ENOSPC``, ``EROFS``,
     ...) — callers decide whether that degrades or propagates.
     """
-    parent = os.path.dirname(path) or "."
-    os.makedirs(parent, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=parent, prefix=".shard_", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(
-                fh,
-                shapes=res.shapes,
-                dtype_name=np.str_(res.dtype_name),
-                gpu_name=np.str_(res.gpu_name),
-                streamk=res.streamk,
-                singleton=res.singleton,
-                cublas=res.cublas,
-                oracle=res.oracle,
-                cublas_choice=res.cublas_choice
-                if res.cublas_choice is not None
-                else np.empty(0, dtype=np.int64),
-                variant_names=np.asarray(res.cublas_variant_names),
-            )
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)  # atomic publish
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    publish(path, timings_npz_bytes(res))
 
 
 def read_timings_npz(path: str) -> "SystemTimings | None":
@@ -202,21 +217,7 @@ def read_timings_npz(path: str) -> "SystemTimings | None":
         return None
     try:
         with np.load(path, allow_pickle=False) as doc:
-            shapes = doc["shapes"]
-            choice = doc["cublas_choice"]
-            if choice.shape[0] != shapes.shape[0]:
-                choice = None
-            return SystemTimings(
-                shapes=shapes,
-                dtype_name=str(doc["dtype_name"]),
-                gpu_name=str(doc["gpu_name"]),
-                streamk=doc["streamk"],
-                singleton=doc["singleton"],
-                cublas=doc["cublas"],
-                oracle=doc["oracle"],
-                cublas_choice=choice,
-                cublas_variant_names=[str(v) for v in doc["variant_names"]],
-            )
+            return timings_from_npz(doc)
     except Exception:
         return None  # treated as a digest mismatch by the caller
 
@@ -289,15 +290,10 @@ class ShardJournal:
         self.corpus_key = corpus_key
         self.bounds: "list[tuple[int, int]]" = []
         self.completed: "dict[int, str]" = {}
-        #: shard index -> worker identity for the last unreclaimed
-        #: ``shard_claimed`` seen during replay (forensics only; claim
-        #: *liveness* is carried by lease files, not the WAL).
-        self.claims: "dict[int, str]" = {}
         self.degraded = False
         self.shared = False
         self._fh = None
-        # The lease fabric's heartbeat thread and the worker thread
-        # append through the same handle.
+        # Appends from threads sharing this handle must not interleave.
         self._append_lock = threading.Lock()
 
     # -- paths --------------------------------------------------------- #
@@ -478,8 +474,8 @@ class ShardJournal:
         ``journal.bounds_adopted`` when they differ from what the
         caller requested, so resumed multi-worker runs are observable)
         and fills ``self.completed``; counts replayed records,
-        torn-tail truncations, duplicate completions/claims, orphan
-        reclaims, and fingerprint mismatches.
+        torn-tail truncations, duplicate completions, and fingerprint
+        mismatches.
 
         In shared mode the torn tail is **not** truncated: what looks
         torn may be a live concurrent writer's append in flight, and
@@ -487,7 +483,6 @@ class ShardJournal:
         """
         requested = list(self.bounds)
         completed: "dict[int, str]" = {}
-        claims: "dict[int, str]" = {}
         adopted: "list[tuple[int, int]] | None" = None
         ck = self._load_checkpoint()
         if ck is not None:
@@ -515,25 +510,12 @@ class ShardJournal:
                 (int(lo), int(hi)) for lo, hi in header.get("bounds", [])
             ]
             for rec in records[1:]:
-                kind = rec.get("kind")
+                if rec.get("kind") != "shard_done":
+                    continue
                 shard = int(rec.get("shard", -1))
-                if kind == "shard_done":
-                    if shard in completed:
-                        inc_counter("journal.duplicate_done")
-                    completed[shard] = str(rec.get("digest", ""))
-                elif kind == "shard_claimed":
-                    # Deterministic resolution: the first journaled
-                    # claim wins; later duplicates are counted and
-                    # ignored (safety never depends on this map).
-                    if shard in claims:
-                        inc_counter("journal.duplicate_claim")
-                    else:
-                        claims[shard] = str(rec.get("worker", ""))
-                elif kind == "shard_reclaimed":
-                    if shard not in claims:
-                        inc_counter("journal.orphan_reclaim")
-                    else:
-                        claims.pop(shard, None)
+                if shard in completed:
+                    inc_counter("journal.duplicate_done")
+                completed[shard] = str(rec.get("digest", ""))
             inc_counter("journal.replayed", len(records))
         elif header is not None:
             # First record is not a header: not our journal.
@@ -549,10 +531,6 @@ class ShardJournal:
         nshards = len(self.bounds)
         self.completed = {
             s: d for s, d in completed.items() if 0 <= s < nshards and d
-        }
-        self.claims = {
-            s: w for s, w in claims.items()
-            if 0 <= s < nshards and s not in self.completed
         }
         return True
 
@@ -599,9 +577,9 @@ class ShardJournal:
     def _append(self, obj: dict) -> None:
         """fsync'd atomic-enough append: torn writes are CRC-detected.
 
-        Serialized under a lock: the lease fabric's heartbeat thread
-        appends concurrently with the worker thread, and interleaved
-        buffered writes would tear both frames.  Cross-*process*
+        Serialized under a lock: two threads appending through one
+        handle would interleave buffered writes and tear both frames.
+        Cross-*process*
         atomicity in shared mode comes from ``O_APPEND`` plus each
         frame being a single ``write`` call.
         """
@@ -617,10 +595,14 @@ class ShardJournal:
             except OSError:
                 self._degrade()
 
-    def record_started(self, shard: int, fingerprint: str = "") -> None:
-        self._append(
-            {"kind": "shard_started", "shard": int(shard), "fp": fingerprint}
-        )
+    def record_started(
+        self, shard: int, fingerprint: str = "", worker: str = ""
+    ) -> None:
+        """Journal that ``shard`` is being evaluated (forensics only)."""
+        rec = {"kind": "shard_started", "shard": int(shard), "fp": fingerprint}
+        if worker:
+            rec["worker"] = worker
+        self._append(rec)
 
     def record_done(
         self, shard: int, res: SystemTimings, fingerprint: str = ""
@@ -653,37 +635,6 @@ class ShardJournal:
             return None
         self.completed[int(shard)] = digest
         return digest
-
-    def record_abandoned(self, shard: int, reason: str) -> None:
-        """Mark a hung/timed-out shard; resume will re-run it."""
-        inc_counter("journal.abandoned_shards")
-        self._append(
-            {"kind": "shard_abandoned", "shard": int(shard), "reason": reason}
-        )
-
-    def record_claimed(self, shard: int, worker: str) -> None:
-        """Journal a lease claim (forensics; liveness lives in the lease
-        file, see :class:`repro.harness.fabric.LeaseManager`)."""
-        self._append(
-            {"kind": "shard_claimed", "shard": int(shard), "worker": worker}
-        )
-
-    def record_heartbeat(self, shard: int, worker: str, seq: int) -> None:
-        """Journal a heartbeat renewal (forensics; replay ignores it)."""
-        self._append(
-            {
-                "kind": "shard_heartbeat",
-                "shard": int(shard),
-                "worker": worker,
-                "seq": int(seq),
-            }
-        )
-
-    def record_reclaimed(self, shard: int, worker: str) -> None:
-        """Journal that ``worker`` reclaimed an expired lease on ``shard``."""
-        self._append(
-            {"kind": "shard_reclaimed", "shard": int(shard), "worker": worker}
-        )
 
     # -- replayed-state access ----------------------------------------- #
 
@@ -745,22 +696,8 @@ class ShardJournal:
             "done": {str(s): d for s, d in sorted(self.completed.items())},
         }
         try:
-            fd, tmp = tempfile.mkstemp(
-                dir=self.directory, prefix=".ckpt_", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(doc, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, self.checkpoint_path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            publish(self.checkpoint_path, text.encode("utf-8"))
             # The checkpoint now carries every completion: rewrite the
             # WAL as header-only so replay never re-reads history.
             self._reset_wal()

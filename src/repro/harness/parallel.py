@@ -15,13 +15,14 @@ engine version — so Table 1, Figure 6, and Figure 7 share one FP64 corpus
 evaluation instead of recomputing three, and *any* identical corpus
 re-query is free.  The memo is in-process by default; point
 ``REPRO_EVAL_CACHE_DIR`` (or the ``cache_dir`` argument) at a directory
-to persist evaluations across processes as ``.npz`` artifacts
-(write-temp + atomic rename, safe under concurrent writers).  Corrupt
-persisted evaluation artifacts are quarantined (renamed ``*.corrupt``,
-counted in ``evalcache.corrupt_quarantined``) and recomputed rather than
-re-parsed forever; artifact *writes* that hit a full or read-only
-filesystem are dropped (``evalcache.write_failed``) instead of crashing
-the sweep.
+to persist evaluations across processes as ``.npz`` artifacts in the
+journal's shard encoding plus a ``key`` field, published atomically
+(:func:`repro.durable.publish`: temp + fsync + rename, safe under
+concurrent writers).  Corrupt persisted evaluation artifacts are
+quarantined (renamed ``*.corrupt``, counted in
+``evalcache.corrupt_quarantined``) and recomputed rather than re-parsed
+forever; artifact *writes* that hit a full or read-only filesystem are
+dropped (``evalcache.write_failed``) instead of crashing the sweep.
 
 There is one multi-process path: ``jobs > 1`` runs that many workers of
 the lease fabric (:mod:`repro.harness.fabric`) over a shard journal
@@ -61,6 +62,7 @@ import zipfile
 
 import numpy as np
 
+from ..durable import publish, quarantine, wipe
 from ..errors import ConfigurationError, SweepInterrupted
 from ..gemm.dtypes import DtypeConfig
 from ..gemm.tiling import Blocking
@@ -68,7 +70,7 @@ from ..gpu.spec import GpuSpec
 from ..model.paramcache import calibrate_cached, gpu_fingerprint
 from ..obs import counters as _counters
 from ..obs.profiler import span
-from .journal import ShardJournal
+from .journal import ShardJournal, timings_from_npz, timings_npz_bytes
 from .vectorized import SystemTimings, evaluate_corpus
 
 __all__ = [
@@ -506,22 +508,6 @@ def _eval_entry_path(root: str, key: str) -> str:
     )
 
 
-def _quarantine_artifact(path: str, counter: str) -> None:
-    """Move a corrupt cache artifact aside so it is never re-parsed.
-
-    The artifact is renamed to ``<path>.corrupt`` (kept for post-mortem,
-    ignored by every loader) and the event counted — without this, a
-    half-written or bit-rotted file would silently fail and be re-read on
-    every single run.  Rename failures are swallowed: a read-only cache
-    directory degrades to the old re-parse behavior rather than erroring.
-    """
-    try:
-        os.replace(path, path + ".corrupt")
-    except OSError:
-        pass
-    _counters.inc_counter(counter)
-
-
 def _load_eval(path: str, key: str) -> "SystemTimings | None":
     if not os.path.exists(path):
         return None  # plain miss, not corruption
@@ -529,25 +515,11 @@ def _load_eval(path: str, key: str) -> "SystemTimings | None":
         with np.load(path, allow_pickle=False) as doc:
             if str(doc["key"]) != key:
                 return None  # truncated-hash collision: a miss, keep it
-            shapes = doc["shapes"]
-            choice = doc["cublas_choice"]
-            if choice.shape[0] != shapes.shape[0]:
-                choice = None  # evaluation was stored without selections
-            return SystemTimings(
-                shapes=shapes,
-                dtype_name=str(doc["dtype_name"]),
-                gpu_name=str(doc["gpu_name"]),
-                streamk=doc["streamk"],
-                singleton=doc["singleton"],
-                cublas=doc["cublas"],
-                oracle=doc["oracle"],
-                cublas_choice=choice,
-                cublas_variant_names=[str(v) for v in doc["variant_names"]],
-            )
+            return timings_from_npz(doc)
     except (OSError, ValueError, KeyError, zipfile.BadZipFile):
         # The file exists but cannot be parsed as this engine's artifact:
         # quarantine it and recompute instead of retrying forever.
-        _quarantine_artifact(path, "evalcache.corrupt_quarantined")
+        quarantine(path, "evalcache.corrupt_quarantined")
         return None
 
 
@@ -555,40 +527,12 @@ def _store_eval(path: str, key: str, res: SystemTimings) -> None:
     """Persist one evaluation atomically; never raises.
 
     A full or read-only filesystem (``ENOSPC``/``EROFS``/any ``OSError``)
-    removes the partial temporary file, bumps ``evalcache.write_failed``,
-    and the sweep continues uncached instead of crashing.
+    bumps ``evalcache.write_failed`` and the sweep continues uncached
+    instead of crashing.
     """
     try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=".eval_", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(
-                    fh,
-                    key=np.str_(key),
-                    shapes=res.shapes,
-                    dtype_name=np.str_(res.dtype_name),
-                    gpu_name=np.str_(res.gpu_name),
-                    streamk=res.streamk,
-                    singleton=res.singleton,
-                    cublas=res.cublas,
-                    oracle=res.oracle,
-                    cublas_choice=res.cublas_choice
-                    if res.cublas_choice is not None
-                    else np.empty(0, dtype=np.int64),
-                    variant_names=np.asarray(res.cublas_variant_names),
-                )
-            os.replace(tmp, path)  # atomic publish
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        publish(path, timings_npz_bytes(res, key=np.str_(key)))
     except OSError:
-        # ENOSPC/EROFS/unwritable cache dir: stay in-memory only, loudly.
         _counters.inc_counter("evalcache.write_failed")
 
 
@@ -643,16 +587,4 @@ def wipe_eval_cache(cache_dir: "str | None" = None) -> int:
     root = _eval_cache_dir(cache_dir)
     if root is None:
         return 0
-    removed = 0
-    try:
-        entries = os.listdir(os.path.join(root, "eval"))
-    except OSError:
-        return 0
-    for name in entries:
-        if name.startswith("eval_") and name.endswith((".npz", ".corrupt")):
-            try:
-                os.unlink(os.path.join(root, "eval", name))
-                removed += 1
-            except OSError:
-                pass
-    return removed
+    return wipe(os.path.join(root, "eval"), "eval_", (".npz", ".corrupt"))

@@ -22,10 +22,11 @@ procedure or the executor cost structure changes meaning.  Entries whose
 version or fingerprint no longer match are ignored (and overwritten on the
 next store).
 
-Writes are safe under concurrent writers: each store writes a private
-temporary file in the destination directory and publishes it with an
-atomic :func:`os.replace`.  A missing or unwritable cache directory
-degrades silently to in-memory-only operation.  Set ``REPRO_NO_DISK_CACHE=1``
+Writes are safe under concurrent writers: each store is an atomic
+publish (:func:`repro.durable.publish`: private temp file in the
+destination directory, fsync, :func:`os.replace`).  A missing or
+unwritable cache directory degrades silently to in-memory-only
+operation.  Set ``REPRO_NO_DISK_CACHE=1``
 to disable the disk layer outright; ``wipe_calibration_cache()`` (or
 ``python -m repro cache --wipe``) clears it.
 """
@@ -36,8 +37,8 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 
+from ..durable import publish, quarantine, wipe
 from ..gemm.dtypes import DtypeConfig
 from ..gemm.tiling import Blocking
 from ..gpu.spec import GpuSpec
@@ -104,22 +105,6 @@ def _entry_path(
     return os.path.join(cache_dir, "calibration", name)
 
 
-def _quarantine(path: str) -> None:
-    """Move a corrupt calibration artifact aside and count the event.
-
-    Renaming to ``<path>.corrupt`` (kept for post-mortem, never matched
-    by the loader again) means the next lookup is a clean miss that
-    recomputes and overwrites — instead of re-parsing the same broken
-    file on every run forever.  Best-effort: an unrenamable (read-only)
-    cache degrades to the old behavior.
-    """
-    try:
-        os.replace(path, path + ".corrupt")
-    except OSError:
-        pass
-    inc_counter("paramcache.corrupt_quarantined")
-
-
 def load_cached_params(
     gpu: GpuSpec,
     blocking: Blocking,
@@ -144,7 +129,7 @@ def load_cached_params(
     try:
         doc = json.loads(raw)
     except ValueError:
-        _quarantine(path)
+        quarantine(path, "paramcache.corrupt_quarantined")
         return None
     try:
         if (
@@ -164,7 +149,7 @@ def load_cached_params(
             gpu_name=str(doc.get("gpu_name", gpu.name)),
         )
     except (KeyError, TypeError, ValueError):
-        _quarantine(path)
+        quarantine(path, "paramcache.corrupt_quarantined")
         return None
 
 
@@ -175,11 +160,11 @@ def store_params(
 ) -> "str | None":
     """Persist one calibration atomically; returns the path or ``None``.
 
-    Concurrent writers race benignly: each writes its own temporary file
-    and the last :func:`os.replace` wins with a complete document.  Any
+    Concurrent writers race benignly: each publishes its own temporary
+    file and the last rename wins with a complete document.  Any
     filesystem failure (``ENOSPC``, ``EROFS``, unwritable directory)
-    removes the partial temporary file, bumps ``paramcache.write_failed``,
-    and degrades to in-memory-only caching instead of propagating.
+    bumps ``paramcache.write_failed`` and degrades to in-memory-only
+    caching instead of propagating.
     """
     fp = gpu_fingerprint(gpu)
     blocking = Blocking(*params.blocking)
@@ -199,21 +184,8 @@ def store_params(
         "d": params.d,
     }
     try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=".calib_", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, path)  # atomic publish
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        publish(path, text.encode("utf-8"))
     except OSError:
         inc_counter("paramcache.write_failed")
         return None
@@ -264,19 +236,7 @@ def calibrate_cached(
 def wipe_calibration_cache(cache_dir: "str | None" = None) -> int:
     """Delete every persisted calibration; returns the number removed."""
     root = os.path.join(cache_dir or default_cache_dir(), "calibration")
-    removed = 0
-    try:
-        entries = os.listdir(root)
-    except OSError:
-        return 0
-    for name in entries:
-        if name.startswith("calib_") and name.endswith((".json", ".corrupt")):
-            try:
-                os.unlink(os.path.join(root, name))
-                removed += 1
-            except OSError:
-                pass
-    return removed
+    return wipe(root, "calib_", (".json", ".corrupt"))
 
 
 def clear_memory_cache() -> None:

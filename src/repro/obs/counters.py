@@ -7,13 +7,16 @@ one calibration lookup) rather than per inner-loop event.
 
 Naming convention: dotted ``subsystem.event`` names, with ``.hit`` /
 ``.miss`` pairs for anything cache-shaped so :func:`hit_rate` can derive
-rates uniformly.  Counters wired in by this PR:
+rates uniformly.  Counters in use (``a.b|c`` is shorthand for ``a.b``
+and ``a.c``):
 
 ======================================  =================================
 ``paramcache.memo_hit|disk_hit|miss``   calibration cache lookups
 ``paramcache.write_failed``             calibration store hit ENOSPC/EROFS
+``paramcache.corrupt_quarantined``      corrupt calibrations set aside
 ``evalcache.memo_hit|disk_hit|miss``    corpus-evaluation memo lookups
 ``evalcache.write_failed``              evaluation store hit ENOSPC/EROFS
+``evalcache.corrupt_quarantined``       corrupt evaluations set aside
 ``executor.runs|ctas|segments``         discrete-event executor volume
 ``executor.spin_waits|signals``         flag-protocol events
 ``l2sim.fragment.hit|miss``             FragmentCache replay outcomes
@@ -24,9 +27,26 @@ rates uniformly.  Counters wired in by this PR:
 ``journal.torn_tail_truncated``         torn WAL tails dropped on replay
 ``journal.fingerprint_mismatch``        foreign journals ignored
 ``journal.digest_mismatch``             stale shard artifacts re-run
-``journal.abandoned_shards``            watchdog-abandoned shards
+``journal.duplicate_done``              a shard's second ``shard_done``
+``journal.bounds_adopted``              resume kept the journal's shards
+``journal.init_lock_stolen``            dead initializer's lock taken over
+``journal.checkpoint_corrupt``          unparsable checkpoint ignored
+``journal.compacted``                   checkpoints written, WAL reset
 ``harness.journal.degraded``            journal writes hit ENOSPC/EROFS
 ``harness.drained_interrupts``          SIGINT/SIGTERM drains of a sweep
+``harness.shards_ok``                   shards evaluated
+``fabric.claims|commits``               fabric leases won / shards committed
+``fabric.heartbeats``                   lease renewals
+``fabric.heartbeat_failed``             lease renewals that hit an OSError
+``fabric.lease_expired|reclaims``       stale leases seen / unlinked
+``fabric.steals``                       reclaimed shards claimed again
+``fabric.degraded``                     lease/journal I/O fell back to serial
+``fabric.serial_fallback_shards``       shards evaluated by such fallbacks
+``fabric.workers_lost``                 workers that exited abnormally
+``fabric.pool_unusable``                workers could not be started
+``fabric.parent_fallback``              parent finished open shards itself
+``fabric.merge_reevaluated``            merge re-ran an unverifiable shard
+``fabric.unusable``                     ``--join`` fell back to a sweep
 ``faults.chaos_kills``                  chaos kill points fired
 ``plancache.hot_hit|disk_hit|miss``     tiered plan-cache lookups (serve)
 ``plancache.evicted``                   hot-tier LRU evictions

@@ -20,9 +20,10 @@ the arithmetic depends on:
 
 Storage follows :mod:`repro.model.paramcache` conventions: shards live
 under ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``) in ``plans/``,
-writes are atomic (private temp file + ``os.replace``), filesystem
-failures degrade to memory-only operation, and ``REPRO_NO_DISK_CACHE=1``
-disables the disk tier outright.
+writes are atomic (:func:`repro.durable.publish`: private temp file,
+fsync, ``os.replace``), filesystem failures degrade to memory-only
+operation, and ``REPRO_NO_DISK_CACHE=1`` disables the disk tier
+outright.
 
 Counters (:mod:`repro.obs.counters`): ``plancache.hot_hit``,
 ``plancache.disk_hit``, ``plancache.miss``, ``plancache.evicted``,
@@ -34,12 +35,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import tempfile
 import threading
 from collections import OrderedDict
 
 import numpy as np
 
+from ..durable import publish, quarantine, wipe
 from ..gemm.dtypes import DtypeConfig, get_dtype_config
 from ..gpu.spec import GpuSpec
 from ..model.cost import StreamKModelParams
@@ -60,15 +61,6 @@ _DEFAULT_CAPACITY = 65536
 
 def _disk_enabled() -> bool:
     return os.environ.get(_ENV_NO_DISK, "") not in ("1", "true", "yes")
-
-
-def _quarantine(path: str) -> None:
-    """Move a corrupt plan shard aside so the next lookup is a clean miss."""
-    try:
-        os.replace(path, path + ".corrupt")
-    except OSError:
-        pass
-    inc_counter("plancache.corrupt_quarantined")
 
 
 class PlanCache:
@@ -206,7 +198,7 @@ class PlanCache:
         try:
             doc = json.loads(raw)
         except ValueError:
-            _quarantine(path)
+            quarantine(path, "plancache.corrupt_quarantined")
             return
         try:
             if (
@@ -224,7 +216,7 @@ class PlanCache:
                     self._disk[(plan.m, plan.n, plan.k)] = plan
         except (KeyError, TypeError, ValueError):
             self._disk.clear()
-            _quarantine(path)
+            quarantine(path, "plancache.corrupt_quarantined")
 
     def flush(self) -> "str | None":
         """Atomically persist the merged tiers; returns the path or ``None``.
@@ -252,21 +244,8 @@ class PlanCache:
             }
         path = self.shard_path()
         try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(path), prefix=".plans_", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(doc, fh, sort_keys=True)
-                    fh.write("\n")
-                os.replace(tmp, path)  # atomic publish
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            text = json.dumps(doc, sort_keys=True) + "\n"
+            publish(path, text.encode("utf-8"))
         except OSError:
             inc_counter("plancache.flush_failed")
             return None
@@ -278,16 +257,4 @@ class PlanCache:
 def wipe_plan_cache(cache_dir: "str | None" = None) -> int:
     """Delete every persisted plan shard; returns the number removed."""
     root = os.path.join(cache_dir or default_cache_dir(), "plans")
-    removed = 0
-    try:
-        entries = os.listdir(root)
-    except OSError:
-        return 0
-    for name in entries:
-        if name.startswith("plans_") and name.endswith((".json", ".corrupt")):
-            try:
-                os.unlink(os.path.join(root, name))
-                removed += 1
-            except OSError:
-                pass
-    return removed
+    return wipe(root, "plans_", (".json", ".corrupt"))

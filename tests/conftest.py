@@ -1,10 +1,41 @@
-"""Shared fixtures: small problems, grids, GPUs, and cost models."""
+"""Shared fixtures (small problems, grids, GPUs, cost models) and the
+Hypothesis profiles every ``@given`` test in the suite runs under.
+
+Two profiles, selected via ``HYPOTHESIS_PROFILE`` (default ``dev``):
+
+* ``dev`` — 25 examples per property, for the everyday tier-1 run;
+* ``ci``  — 200 examples per property, the acceptance bar of the
+  ``properties`` CI job (>= 200 generated (shape, spec) cases per
+  registered schedule; run with ``--hypothesis-show-statistics``).
+
+Both are derandomized and keep no example database, so a run draws the
+same examples whatever a local ``.hypothesis`` directory holds: a
+failing example fails everywhere, not just on one machine.  Deadlines
+are disabled because one example of the property suite is a full
+discrete-event execution plus an invariant-checker replay — wall time
+scales with the drawn point, which is exactly what deadlines mis-flag.
+Tests that set ``max_examples`` themselves keep their own count.
+"""
+
+import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.gemm import FP16_FP32, FP64, Blocking, GemmProblem, TileGrid, random_operands
 from repro.gpu import A100, HYPOTHETICAL_4SM, KernelCostModel
+
+for _name, _examples in (("dev", 25), ("ci", 200)):
+    settings.register_profile(
+        _name,
+        max_examples=_examples,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 
 @pytest.fixture

@@ -499,8 +499,8 @@ class TestRealWorkerKill:
                                    "--chaos-kill-after", "1"], tmp_path)
         assert killed.returncode == -signal.SIGKILL, killed.stderr
         records, _, _ = read_wal_records(wal)
-        pids = {int(r["worker"].split(":")[1])
-                for r in records if r.get("kind") == "shard_claimed"}
+        pids = {int(r["worker"].split(":")[1]) for r in records
+                if r.get("kind") == "shard_started" and "worker" in r}
         assert pids, "no worker ever claimed a shard"
         deadline = time.monotonic() + 60.0
         while any(_running(pid) for pid in pids):

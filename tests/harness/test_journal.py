@@ -59,14 +59,16 @@ class TestFraming:
     def test_wal_round_trip(self, tmp_path):
         jr = _open(tmp_path)
         jr.record_started(0, fingerprint="f0")
-        jr.record_abandoned(1, reason="watchdog")
+        jr.record_started(1, fingerprint="f1", worker="host:1:aaaa")
         jr.close()
         records, good, torn = read_wal_records(jr.wal_path)
         assert not torn
         assert good == os.path.getsize(jr.wal_path)
         assert [r["kind"] for r in records] == [
-            "sweep_header", "shard_started", "shard_abandoned",
+            "sweep_header", "shard_started", "shard_started",
         ]
+        assert "worker" not in records[1]
+        assert records[2]["worker"] == "host:1:aaaa"
         assert records[0]["corpus"] == KEY
         assert records[0]["v"] == JOURNAL_FORMAT_VERSION
         assert records[0]["bounds"] == [[lo, hi] for lo, hi in BOUNDS]
@@ -293,7 +295,7 @@ class TestDegradation:
         assert get_counter("harness.journal.degraded") == 1
         # Every later operation is a silent no-op.
         assert jr.record_done(0, timings) is None
-        jr.record_abandoned(1, "x")
+        jr.record_started(1)
         jr.compact()
         assert get_counter("harness.journal.degraded") == 1
         jr.close()
@@ -327,88 +329,56 @@ class TestDegradation:
 
 
 class TestLeaseRecords:
-    """WAL replay of the fabric's liveness records: torn, duplicate,
-    and orphaned lease records must never perturb completion state."""
+    """Journals of this format written before the WAL stopped recording
+    claims still carry lease records; replay must skip them."""
 
-    def test_lease_record_round_trip(self, tmp_path):
-        jr = _open(tmp_path)
-        jr.record_claimed(0, "host:1:aaaa")
-        jr.record_heartbeat(0, "host:1:aaaa", 3)
-        jr.record_reclaimed(0, "host:2:bbbb")
-        jr.close()
-        records, _, torn = read_wal_records(jr.wal_path)
-        assert not torn
-        assert [r["kind"] for r in records[1:]] == [
-            "shard_claimed", "shard_heartbeat", "shard_reclaimed",
-        ]
-        assert records[1]["worker"] == "host:1:aaaa"
-        assert records[2]["seq"] == 3
+    LEGACY = (
+        {"kind": "shard_claimed", "shard": 0, "worker": "host:1:aaaa"},
+        {"kind": "shard_heartbeat", "shard": 0, "worker": "host:1:aaaa",
+         "seq": 1},
+        {"kind": "shard_claimed", "shard": 1, "worker": "host:1:aaaa"},
+        {"kind": "shard_reclaimed", "shard": 0, "worker": "host:2:bbbb"},
+        {"kind": "shard_abandoned", "shard": 2, "reason": "watchdog"},
+    )
 
-    def test_replay_fills_claims_map(self, tmp_path):
+    def _legacy_wal(self, tmp_path, timings):
+        """A WAL whose lease records sit around two ``shard_done``."""
         jr = _open(tmp_path)
-        jr.record_claimed(0, "host:1:aaaa")
-        jr.record_claimed(2, "host:2:bbbb")
+        jr.record_done(1, timings)
+        with open(jr.wal_path, "ab") as fh:
+            for rec in self.LEGACY:
+                fh.write(journal_mod._frame_record(rec))
+        jr.record_done(2, timings)
         jr.close()
-        jr2 = _open(tmp_path, resume=True)
-        assert jr2.claims == {0: "host:1:aaaa", 2: "host:2:bbbb"}
-        jr2.close()
-
-    def test_duplicate_claim_first_wins_deterministically(self, tmp_path):
-        jr = _open(tmp_path)
-        jr.record_claimed(1, "host:1:aaaa")
-        jr.record_claimed(1, "host:2:bbbb")  # double-execution race
-        jr.close()
-        reset_counters()
-        jr2 = _open(tmp_path, resume=True)
-        assert jr2.claims[1] == "host:1:aaaa"
-        assert get_counter("journal.duplicate_claim") == 1
-        jr2.close()
-
-    def test_orphan_reclaim_tolerated(self, tmp_path):
-        jr = _open(tmp_path)
-        jr.record_reclaimed(2, "host:9:ffff")  # no visible prior claim
-        jr.close()
-        reset_counters()
-        jr2 = _open(tmp_path, resume=True)
-        assert jr2.claims == {}
-        assert get_counter("journal.orphan_reclaim") == 1
-        jr2.close()
-
-    def test_reclaim_clears_claim(self, tmp_path):
-        jr = _open(tmp_path)
-        jr.record_claimed(0, "host:1:aaaa")
-        jr.record_reclaimed(0, "host:2:bbbb")
-        jr.close()
-        jr2 = _open(tmp_path, resume=True)
-        assert jr2.claims == {}
-        jr2.close()
+        return jr
 
     def test_lease_records_never_imply_completion(self, tmp_path, timings):
-        """Liveness-only: completion comes exclusively from shard_done."""
-        jr = _open(tmp_path)
-        jr.record_claimed(0, "w")
-        jr.record_heartbeat(0, "w", 1)
-        jr.record_claimed(1, "w")
-        jr.record_done(1, timings)
+        """Completion comes exclusively from shard_done, on both the
+        private and the shared replay, with no format bump."""
+        self._legacy_wal(tmp_path, timings)
+        reset_counters()
+        jr = _open(tmp_path, resume=True)
+        assert sorted(jr.completed) == [1, 2]
+        assert get_counter("journal.fingerprint_mismatch") == 0
+        assert get_counter("journal.replayed") == 1 + 2 + len(self.LEGACY)
         jr.close()
-        jr2 = _open(tmp_path, resume=True)
-        assert sorted(jr2.completed) == [1]
-        assert 1 not in jr2.claims  # completed shards shed their claim
-        jr2.close()
+        shared = ShardJournal.open_shared(
+            str(tmp_path), corpus_key=KEY, bounds=BOUNDS
+        )
+        assert sorted(shared.completed) == [1, 2]
+        assert sorted(shared.refresh_completed()) == [1, 2]
+        assert_timings_equal(shared.load_completed(2), timings)
+        shared.close()
 
     def test_torn_claim_record_truncated_on_private_replay(
         self, tmp_path, timings
     ):
-        jr = _open(tmp_path)
-        jr.record_done(0, timings)
-        jr.record_claimed(1, "host:1:aaaa")
-        jr.close()
+        jr = self._legacy_wal(tmp_path, timings)
         with open(jr.wal_path, "ab") as fh:
             fh.write(journal_mod._MAGIC + struct.pack("<I", 64))  # torn
         reset_counters()
         jr2 = _open(tmp_path, resume=True)
-        assert sorted(jr2.completed) == [0]
-        assert jr2.claims == {1: "host:1:aaaa"}
+        assert sorted(jr2.completed) == [1, 2]
         assert get_counter("journal.torn_tail_truncated") == 1
         jr2.close()
         _, _, torn = read_wal_records(jr2.wal_path)
@@ -449,8 +419,8 @@ class TestSharedMode:
         a = self._open_shared(tmp_path)
         b = self._open_shared(tmp_path)
         for i in range(3):
-            a.record_claimed(i, "worker-a")
-            b.record_heartbeat(i, "worker-b", i)
+            a.record_started(i, worker="worker-a")
+            b.record_started(i, worker="worker-b")
         a.close()
         b.close()
         records, _, torn = read_wal_records(a.wal_path)

@@ -241,3 +241,116 @@ class TestEvalCacheQuarantine:
         assert_timings_equal(res, evaluate_corpus(b, FP64, A100))
         assert not os.path.exists(path_b + ".corrupt")
         assert get_counter("evalcache.corrupt_quarantined") == 0
+
+
+def _publish_journal_shard(tmp, timings):
+    from repro.harness.journal import ShardJournal
+
+    jr = ShardJournal.open(tmp, corpus_key="k", bounds=[(0, 64)])
+    yield
+    assert jr.record_done(0, timings) is None
+    assert not os.path.exists(jr.shard_path(0))
+    jr.close()
+    yield "harness.journal.degraded", os.path.dirname(jr.shard_path(0))
+
+
+def _publish_checkpoint(tmp, timings):
+    from repro.harness.journal import ShardJournal
+
+    jr = ShardJournal.open(tmp, corpus_key="k", bounds=[(0, 64)])
+    jr.record_done(0, timings)
+    yield
+    jr.compact()
+    assert jr.degraded and not os.path.exists(jr.checkpoint_path)
+    jr.close()
+    yield "harness.journal.degraded", tmp
+
+
+def _publish_lease_heartbeat(tmp, timings):
+    from repro.harness.fabric import LeaseManager, _HeartbeatThread
+
+    lease = LeaseManager(tmp, "host:1:aaaa", lease_seconds=30.0)
+    assert lease.try_claim(0)
+    with open(lease.lease_path(0), "rb") as fh:
+        claimed = fh.read()
+    yield
+    hb = _HeartbeatThread(lease, 0, interval_s=0.01)
+    hb.start()
+    hb.join(timeout=5.0)  # the first failed renewal ends the thread
+    assert not hb.is_alive()
+    with open(lease.lease_path(0), "rb") as fh:
+        assert fh.read() == claimed
+    assert get_counter("fabric.heartbeats") == 0
+    yield "fabric.heartbeat_failed", lease.lease_dir
+
+
+def _publish_eval_cache(tmp, timings):
+    key = corpus_fingerprint(timings.shapes, FP64, A100)
+    path = parallel._eval_entry_path(tmp, key)
+    yield
+    parallel._store_eval(path, key, timings)
+    assert not os.path.exists(path)
+    yield "evalcache.write_failed", os.path.dirname(path)
+
+
+def _publish_store_params(tmp, timings):
+    from repro.model.cost import StreamKModelParams
+    from repro.model.paramcache import store_params
+
+    params = StreamKModelParams(
+        a=1.0, b=2.0, c=3.0, d=4.0, blocking=FP64.default_blocking,
+        dtype_name=FP64.name, gpu_name=A100.name,
+    )
+    yield
+    assert store_params(params, A100, cache_dir=tmp) is None
+    yield "paramcache.write_failed", os.path.join(tmp, "calibration")
+
+
+def _publish_plan_flush(tmp, timings):
+    from repro.plan import PlanCache
+
+    cache = PlanCache(A100, FP64, cache_dir=tmp, persist=True)
+    m, n, k = (int(v) for v in timings.shapes[0])
+    cache.plan_or_compute(m, n, k)
+    yield
+    assert cache.flush() is None
+    assert not os.path.exists(cache.shard_path())
+    yield "plancache.flush_failed", os.path.dirname(cache.shard_path())
+
+
+class TestPublishFsyncFailure:
+    """``os.fsync`` hitting ENOSPC inside the shared atomic publish: every
+    site leaves no temp file and no target, and degrades as it always has
+    (each through its own counter)."""
+
+    @pytest.mark.parametrize(
+        "site",
+        [
+            _publish_journal_shard,
+            _publish_checkpoint,
+            _publish_lease_heartbeat,
+            _publish_eval_cache,
+            _publish_store_params,
+            _publish_plan_flush,
+        ],
+        ids=lambda f: f.__name__[len("_publish_"):],
+    )
+    def test_enospc_fsync_degrades_without_temp_files(
+        self, site, shapes, tmp_path, monkeypatch
+    ):
+        import errno
+
+        def no_space(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
+        steps = site(str(tmp_path), evaluate_corpus(shapes[:64], FP64, A100))
+        next(steps)  # set-up, with a working disk
+        with monkeypatch.context() as full_disk:
+            full_disk.setattr(os, "fsync", no_space)
+            counter, directory = next(steps)
+        assert get_counter(counter) == 1
+        leftovers = [
+            p for p in os.listdir(directory) if p.endswith(".tmp")
+        ] if os.path.isdir(directory) else []
+        assert leftovers == []

@@ -1,7 +1,13 @@
 """Counters registry: increments, merge, hit rates, report."""
 
+import ast
+import pathlib
+import re
+
 import pytest
 
+import repro
+from repro.obs import counters
 from repro.obs.counters import (
     counters_report,
     get_counter,
@@ -71,3 +77,59 @@ class TestReport:
         assert "executor.runs" in rep and "3" in rep
         assert "evalcache hit rate" in rep
         assert "50.0%" in rep
+
+
+class TestCounterTable:
+    """The module docstring's table documents every durable-store and
+    sweep counter the code emits, and nothing it no longer emits."""
+
+    PREFIXES = (
+        "journal", "fabric", "harness", "evalcache", "paramcache", "plancache",
+    )
+
+    @staticmethod
+    def _documented():
+        names = set()
+        for row in re.findall(r"^``([a-z0-9_.|]+)``", counters.__doc__, re.M):
+            first, *rest = row.split("|")
+            stem = first.rsplit(".", 1)[0]
+            names.add(first)
+            names.update("%s.%s" % (stem, leaf) for leaf in rest)
+        return names
+
+    @staticmethod
+    def _emitted():
+        """String literals passed to ``inc_counter`` or ``quarantine``
+        (which bumps the counter it is given) anywhere under src/repro."""
+        names = set()
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                fn = node.func
+                called = fn.id if isinstance(fn, ast.Name) else getattr(
+                    fn, "attr", None
+                )
+                if called not in ("inc_counter", "quarantine"):
+                    continue
+                names.update(
+                    a.value for a in node.args
+                    if isinstance(a, ast.Constant) and isinstance(a.value, str)
+                )
+        return names
+
+    def _scoped(self, names):
+        return {n for n in names if n.split(".", 1)[0] in self.PREFIXES}
+
+    def test_shorthand_expands(self):
+        documented = self._documented()
+        assert {"paramcache.memo_hit", "paramcache.disk_hit",
+                "paramcache.miss"} <= documented
+
+    def test_every_emitted_counter_has_a_row(self):
+        missing = self._scoped(self._emitted()) - self._documented()
+        assert not missing, sorted(missing)
+
+    def test_every_row_is_still_emitted(self):
+        stale = self._scoped(self._documented()) - self._emitted()
+        assert not stale, sorted(stale)

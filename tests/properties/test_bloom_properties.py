@@ -16,7 +16,7 @@ properties, so Hypothesis pins each directly on
   set stays within sampling slack of the analytic occupancy bound
   ``(1 - e^{-k n / m})^k`` for the configured geometry.
 
-Profiles come from ``tests/properties/conftest.py``: derandomized
+Profiles come from ``tests/conftest.py``: derandomized
 ``dev`` (25 examples) / ``ci`` (200 examples) via ``HYPOTHESIS_PROFILE``.
 """
 

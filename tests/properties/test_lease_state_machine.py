@@ -19,7 +19,7 @@ After every step the machine asserts:
   non-holder that saw that content;
 * when two observers reclaim the same shard, exactly one wins.
 
-Profiles come from ``tests/properties/conftest.py`` (derandomized
+Profiles come from ``tests/conftest.py`` (derandomized
 ``dev`` / ``ci`` via ``HYPOTHESIS_PROFILE``).
 """
 
