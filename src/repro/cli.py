@@ -16,13 +16,12 @@ Commands
                kill, multi-worker lease fabric (``--jobs N``/``--join``)
                (docs/CHECKPOINTING.md)
 ``serve``      long-running plan server: micro-batched queries, tiered
-               plan cache, JSONL-over-TCP protocol (docs/SERVING.md);
-               ``--adaptive`` adds the Stream-K++ winner cache
+               plan cache, JSONL-over-TCP protocol (docs/SERVING.md)
 ``loadgen``    deterministic Zipf load generator for the serving path;
                reports QPS and p50/p99 split by cache hit/miss
-``adapt``      Stream-K++ adaptive-selection replay: Bloom-guarded
-               winner cache vs cold planning, with per-strategy regret
-               vs the oracle (docs/ADAPTIVE.md)
+``adapt``      Stream-K++ adaptive-selection replay: a winner table over
+               the analytic or ensemble-oracle policy vs cold planning,
+               with per-strategy regret vs the oracle (docs/ADAPTIVE.md)
 
 Every command accepts ``--dtype {fp64,fp16_fp32,fp32,bf16_fp32}`` and
 ``--gpu NAME|path.json`` where ``NAME`` is a registered preset (see
@@ -345,17 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="self-contained demo: boot the service, replay an N-request "
         "Zipf trace in-process, print the serving stats, and exit",
     )
-    p.add_argument(
-        "--adaptive", action="store_true",
-        help="enable the Stream-K++ adaptive winner cache ahead of the "
-        "LRU: a counting-Bloom probe serves repeat shapes before the "
-        "plan cache is consulted (docs/ADAPTIVE.md)",
-    )
-    p.add_argument(
-        "--filter-bits", type=int, default=65536, metavar="M",
-        help="counting-Bloom slots of the adaptive filter (default 65536; "
-        "0 = degenerate always-miss filter)",
-    )
 
     p = sub.add_parser(
         "loadgen",
@@ -432,9 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "adapt",
         help="replay Zipf traffic through the Stream-K++ adaptive "
-        "selector: hit rate, selection latency vs cold planning, filter "
-        "footprint vs FP rate, and regret vs the oracle "
-        "(docs/ADAPTIVE.md)",
+        "selector: hit rate, selection latency vs cold planning, and "
+        "regret vs the oracle (docs/ADAPTIVE.md)",
     )
     _add_common(p)
     p.add_argument(
@@ -452,26 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--seed", type=int, default=0, metavar="SEED",
-        help="trace + filter seed (same knobs => byte-identical replay)",
-    )
-    p.add_argument(
-        "--filter-bits", type=int, default=65536, metavar="M",
-        help="counting-Bloom slots (default 65536; 0 = always-miss "
-        "filter, every request falls back to the model)",
-    )
-    p.add_argument(
-        "--hashes", type=int, default=4, metavar="K",
-        help="hash functions per shape key (default 4)",
-    )
-    p.add_argument(
-        "--counter-bits", type=int, default=4, metavar="B",
-        help="bits per counting slot; counters saturate at 2**B - 1 "
-        "(default 4)",
-    )
-    p.add_argument(
-        "--max-winners", type=int, default=65536, metavar="N",
-        help="winner-table LRU capacity; evictions delete from the "
-        "filter (default 65536)",
+        help="trace seed (same knobs => byte-identical replay)",
     )
     p.add_argument(
         "--evaluator", default="ensemble", choices=("ensemble", "analytic"),
@@ -875,8 +843,6 @@ def _serve_config(args) -> "object":
         warm=not getattr(args, "no_warm", False),
         persist=not getattr(args, "no_persist", False),
         warm_bindings=((args.gpu, args.dtype),),
-        adaptive=getattr(args, "adaptive", False),
-        adaptive_filter_bits=getattr(args, "filter_bits", 65536),
         max_queue_depth=getattr(args, "max_queue_depth", 1024),
         breaker_threshold=getattr(args, "breaker_threshold", 3),
         breaker_cooldown_s=getattr(args, "breaker_cooldown_ms", 1000.0) / 1e3,
@@ -1029,11 +995,7 @@ def _cmd_loadgen(args) -> int:
 
 
 def _cmd_adapt(args) -> int:
-    from .ensembles.adaptive import (
-        AdaptiveConfig,
-        AdaptiveReplayConfig,
-        replay_adaptive,
-    )
+    from .ensembles.adaptive import AdaptiveReplayConfig, replay_adaptive
     from .harness import write_json
 
     report = replay_adaptive(
@@ -1044,13 +1006,6 @@ def _cmd_adapt(args) -> int:
             seed=args.seed,
             dtype=args.dtype,
             gpu=args.gpu,
-            adaptive=AdaptiveConfig(
-                filter_bits=args.filter_bits,
-                num_hashes=args.hashes,
-                counter_bits=args.counter_bits,
-                filter_seed=args.seed,
-                max_winners=args.max_winners,
-            ),
             evaluator=args.evaluator,
         )
     )
@@ -1058,7 +1013,6 @@ def _cmd_adapt(args) -> int:
     def us(v):
         return "%.1f us" % v if v is not None else "n/a"
 
-    flt = report["filter"]
     reg = report["regret"]
     print(
         "adaptive replay: %d requests over %d distinct shapes "
@@ -1080,22 +1034,6 @@ def _cmd_adapt(args) -> int:
               us(report["hit_p99_us"]), us(report["cold_plan_p99_us"]),
               report["p99_speedup_hit_vs_cold"] or 0.0,
           ))
-    print(
-        "filter       : %d bits x %d hashes (%d-bit counters, seed %d) "
-        "= %d bytes"
-        % (
-            flt["bits"], flt["num_hashes"], flt["counter_bits"],
-            flt["seed"], flt["memory_bytes"],
-        )
-    )
-    print(
-        "fp rate      : measured %.2e vs analytic bound %.2e "
-        "(%d disjoint probes, %d saturations)"
-        % (
-            flt["measured_fp_rate"], flt["analytic_fp_rate"],
-            flt["probe_keys"], flt["saturations"],
-        )
-    )
     print("regret vs oracle (mean / p99):")
     for name, label in (
         ("adaptive", "adaptive"),

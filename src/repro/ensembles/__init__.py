@@ -1,9 +1,9 @@
 """Library emulations: CUTLASS singletons, the DP oracle, a cuBLAS-like
 heuristic ensemble, the shipped Stream-K library, and the Stream-K++
-adaptive selector (Bloom-guarded winner cache; docs/ADAPTIVE.md)."""
+adaptive selector (a winner table over analytic or ensemble-oracle
+selection; docs/ADAPTIVE.md)."""
 
 from .adaptive import (
-    AdaptiveConfig,
     AdaptiveReplayConfig,
     AdaptiveSelector,
     Selection,
@@ -21,7 +21,6 @@ from .streamk_duo import DuoChoice, StreamKDuoLibrary, small_blocking_for
 from .streamk_library import StreamKLibrary, StreamKPlan
 
 __all__ = [
-    "AdaptiveConfig",
     "AdaptiveReplayConfig",
     "AdaptiveSelector",
     "Selection",

@@ -1,46 +1,38 @@
-"""Stream-K++ adaptive selection: Bloom-guarded winner cache + fallback.
+"""Stream-K++ adaptive selection: a winner table over two policies.
 
 Stream-K++ (PAPERS.md, arxiv 2408.11417) observes that production GEMM
-traffic is dominated by repeat shapes, and splits selection accordingly:
-a compact Bloom filter answers "seen this shape before?", repeats go
-straight to a remembered *winner* (schedule family + grid size), and
-only novel shapes pay for model/ensemble evaluation.  This module is
-that reproduction on top of the repo's planning layer:
+traffic is dominated by repeat shapes, and splits selection
+accordingly: repeats go straight to a remembered *winner* (schedule
+family + grid size), and only novel shapes pay for evaluation.  The
+paper puts a probabilistic membership filter ahead of its table
+because a miss there is a kernel-library lookup; here the table is a
+dict, so one exact lookup is the whole fast path.  This module is that
+reproduction on top of the repo's planning layer:
 
-* :class:`AdaptiveSelector` — the filter-guarded winner table.  A
-  :class:`~repro.plan.filtercache.CountingBloomFilter` over the
-  ``(m, n, k, dtype, gpu-fingerprint)`` key gates an exact-keyed LRU
-  winner table; LRU eviction *deletes* the evicted key from the
-  counting filter so the filter tracks the table.  The correctness
-  contract (``tests/ensembles/test_adaptive.py``): a filter false
-  positive can only ever cost one winner-table probe — selection always
-  ends in either a remembered winner or a fresh, correct evaluation,
-  never a wrong plan.  With a zero-capacity filter every query falls
-  through, making the selector bitwise identical to plain
-  :func:`~repro.plan.core.plan_query`.
-* Evaluators — what a miss pays.  :func:`analytic_evaluator` runs just
-  the planning arithmetic (the serving hot path);
-  :func:`ensemble_evaluator` additionally measures every cuBLAS-style
-  variant and remembers whichever of {Stream-K plan, ensemble variant}
-  is fastest — the oracle-quality first visit that makes repeat-shape
-  regret zero.
+* :class:`AdaptiveSelector` — an exact-keyed winner dict per
+  ``(dtype, gpu)``.  A repeat shape is served from the table; a novel
+  shape runs the selection policy once and is remembered.  The table
+  holds one entry per distinct shape it has seen.
+* Policies — what a miss pays.  :func:`analytic_evaluator` (the
+  default) runs just the planning arithmetic, so its winner's plan is
+  bitwise :func:`~repro.plan.core.plan_query`;
+  :func:`ensemble_evaluator` (the oracle policy) additionally measures
+  every cuBLAS-style variant and remembers whichever of {Stream-K
+  plan, ensemble variant} is fastest — the oracle-quality first visit
+  that makes repeat-shape regret zero.
 * :func:`replay_adaptive` — the ``repro adapt`` engine: replays a
   deterministic Zipf trace and reports hit rate, hit-path selection
-  latency vs cold ``plan_query``, filter memory vs realized FP rate,
-  and per-strategy regret (adaptive / pure-analytic / cuBLAS heuristic,
-  each against the oracle makespan).
+  latency vs cold ``plan_query``, and per-strategy regret (adaptive /
+  pure-analytic / cuBLAS heuristic, each against the oracle makespan).
 
 Counters (:mod:`repro.obs.counters`): ``adaptive.hit`` /
-``adaptive.miss`` (winner served vs evaluated), ``adaptive.filter_fp``
-(filter said yes, table said no), ``adaptive.evicted`` (LRU evictions,
-each mirrored by a filter delete).
+``adaptive.miss`` (winner served vs policy run).
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,16 +40,14 @@ from ..errors import ConfigurationError
 from ..gemm.dtypes import DtypeConfig, get_dtype_config
 from ..gemm.problem import GemmProblem
 from ..gpu.spec import DEFAULT_GPU_NAME, GpuSpec, resolve_gpu
-from ..model.paramcache import calibrate_cached, gpu_fingerprint
+from ..model.paramcache import calibrate_cached
 from ..gemm.tiling import Blocking
 from ..obs.counters import inc_counter
 from ..plan.core import Plan, plan_query
-from ..plan.filtercache import BloomParams, CountingBloomFilter, shape_key
 from .cublas import cublas_select, cublas_variants
 from .kernels import variant_time_s
 
 __all__ = [
-    "AdaptiveConfig",
     "AdaptiveSelector",
     "Selection",
     "Winner",
@@ -78,8 +68,7 @@ class Winner:
     ensemble variant name; ``time_s`` is the winner's predicted kernel
     time — by construction of :func:`ensemble_evaluator`, the *oracle*
     makespan for that shape.  ``plan`` carries the full analytic plan
-    alongside (excluded from equality, like plan provenance) so the
-    serving integration can hand back a complete :class:`Plan`.
+    alongside (excluded from equality, like plan provenance).
     """
 
     family: str
@@ -96,8 +85,8 @@ class Selection:
     n: int
     k: int
     winner: Winner
-    #: ``"winner"`` for a filter-guarded table hit, ``"model"`` for a
-    #: fresh evaluator run (novel or evicted shape).
+    #: ``"winner"`` for a winner-table hit, ``"model"`` for a fresh
+    #: policy run (novel shape).
     source: str
 
     @property
@@ -105,34 +94,6 @@ class Selection:
         """The analytic plan riding with the winner (may be ``None``
         only for custom evaluators that do not attach one)."""
         return self.winner.plan
-
-
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    """Geometry of one :class:`AdaptiveSelector` (filter + table)."""
-
-    #: Counting-filter slots; 0 disables the fast path entirely.
-    filter_bits: int = 1 << 16
-    #: Hash functions per key.
-    num_hashes: int = 4
-    #: Bits per counting slot (saturating at ``2**bits - 1``).
-    counter_bits: int = 4
-    #: Hash seed: same seed, same slots, every process.
-    filter_seed: int = 0
-    #: Winner-table LRU capacity; evictions delete from the filter.
-    max_winners: int = 65536
-
-    def __post_init__(self) -> None:
-        if self.max_winners < 0:
-            raise ConfigurationError("max_winners must be >= 0")
-
-    def bloom_params(self) -> BloomParams:
-        return BloomParams(
-            bits=self.filter_bits,
-            num_hashes=self.num_hashes,
-            counter_bits=self.counter_bits,
-            seed=self.filter_seed,
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -143,8 +104,8 @@ class AdaptiveConfig:
 def analytic_evaluator(dtype: DtypeConfig, gpu: GpuSpec, params=None):
     """Miss path = one :func:`plan_query`: pure planning arithmetic.
 
-    The winner is the plan's own (kind, g, time) — this is the serving
-    integration's evaluator, where a miss must stay cheap.
+    The winner is the plan's own (kind, g, time) — the default policy,
+    where a miss must stay cheap.
     """
     if params is None:
         params = calibrate_cached(
@@ -192,138 +153,37 @@ def ensemble_evaluator(dtype: DtypeConfig, gpu: GpuSpec, params=None):
 
 
 class AdaptiveSelector:
-    """Filter-guarded winner cache with model fallback (Stream-K++).
+    """Winner table with a selection policy on a miss (Stream-K++).
 
-    Selection for one query:
-
-    1. **Filter probe** — the counting Bloom filter answers "possibly
-       seen".  A ``False`` is authoritative (no false negatives): go
-       straight to the evaluator.
-    2. **Winner table** — on a filter ``True``, probe the exact-keyed
-       LRU table.  A hit serves the remembered winner in microseconds;
-       a miss was a filter false positive (``adaptive.filter_fp``) and
-       costs only that probe.
-    3. **Fallback** — run the evaluator, remember the winner (filter
-       insert + table put, LRU-evicting and filter-deleting the
-       coldest entry at capacity).
-
-    Not thread-safe by itself; the serving integration guards it with
-    the binding's lock discipline (one selector per (dtype, gpu)
-    binding, mutations on the batcher thread).
+    :meth:`select` serves a repeat shape from the exact-keyed table,
+    and on a novel shape runs the policy (``evaluator``; default
+    :func:`analytic_evaluator`) once and remembers its winner.  One
+    selector serves one ``(dtype, gpu)`` pair; it is not thread-safe.
     """
 
     def __init__(
         self,
         dtype: "DtypeConfig | str",
         gpu: "GpuSpec | str",
-        config: "AdaptiveConfig | None" = None,
         evaluator=None,
     ):
         self.dtype = (
             get_dtype_config(dtype) if isinstance(dtype, str) else dtype
         )
         self.gpu = resolve_gpu(gpu)
-        self.config = config or AdaptiveConfig()
-        self.fingerprint = gpu_fingerprint(self.gpu)
-        self.filter = CountingBloomFilter(self.config.bloom_params())
-        self._winners: "OrderedDict[tuple[int, int, int], Winner]" = (
-            OrderedDict()
-        )
+        self._winners: "dict[tuple[int, int, int], Winner]" = {}
         self._evaluate = evaluator or analytic_evaluator(self.dtype, self.gpu)
-
-    def _key(self, m: int, n: int, k: int) -> bytes:
-        return shape_key(m, n, k, self.dtype.name, self.fingerprint)
-
-    # -- fast path ----------------------------------------------------- #
-
-    def probe(self, m: int, n: int, k: int) -> "Winner | None":
-        """Winner for a previously-seen shape, or ``None`` (no evaluation).
-
-        ``None`` covers both authoritative filter misses and filter
-        false positives whose table entry was evicted or never existed —
-        in every case the caller falls back to a *correct* evaluation,
-        which is the whole false-positive safety argument.
-        """
-        if not self.filter.query(self._key(m, n, k)):
-            return None
-        winner = self._winners.get((int(m), int(n), int(k)))
-        if winner is None:
-            inc_counter("adaptive.filter_fp")
-            return None
-        self._winners.move_to_end((int(m), int(n), int(k)))
-        return winner
-
-    def probe_plan(self, m: int, n: int, k: int) -> "Plan | None":
-        """:meth:`probe`, decoded to the remembered plan for serving.
-
-        The returned copy is stamped ``provenance="cache:adaptive"`` so
-        the wire protocol reports it as a cache hit; provenance is
-        excluded from plan equality, so it still compares equal to a
-        cold :func:`plan_query`.
-        """
-        winner = self.probe(m, n, k)
-        if winner is None or winner.plan is None:
-            return None
-        return replace(winner.plan, provenance="cache:adaptive")
-
-    # -- write path ---------------------------------------------------- #
-
-    def remember(self, m: int, n: int, k: int, winner: Winner) -> None:
-        """Insert/refresh one shape's winner (filter + LRU table).
-
-        A zero-capacity filter makes the table unreachable (every probe
-        misses at the filter), so remembering is a no-op there — the
-        degenerate selector holds no state at all.
-        """
-        if self.config.max_winners == 0 or self.filter.params.bits == 0:
-            return
-        key = (int(m), int(n), int(k))
-        if key in self._winners:
-            self._winners[key] = winner
-            self._winners.move_to_end(key)
-            return
-        self.filter.insert(self._key(m, n, k))
-        self._winners[key] = winner
-        if len(self._winners) > self.config.max_winners:
-            (em, en, ek), _ = self._winners.popitem(last=False)
-            self.filter.delete(self._key(em, en, ek))
-            inc_counter("adaptive.evicted")
-
-    def remember_plan(self, plan: Plan) -> None:
-        """Remember a freshly-planned query (the serving miss path).
-
-        Foreign plans — wrong engine version or another device's
-        fingerprint — are refused, same rule as the plan cache.
-        """
-        if plan.gpu_fingerprint != self.fingerprint:
-            return
-        if plan.dtype_name != self.dtype.name:
-            return
-        self.remember(
-            plan.m,
-            plan.n,
-            plan.k,
-            Winner(family=plan.kind, g=plan.g, time_s=plan.time_s, plan=plan),
-        )
-
-    def forget(self, m: int, n: int, k: int) -> None:
-        """Drop one shape (table delete mirrored into the filter)."""
-        key = (int(m), int(n), int(k))
-        if self._winners.pop(key, None) is not None:
-            self.filter.delete(self._key(m, n, k))
-
-    # -- full selection ------------------------------------------------ #
 
     def select(self, m: int, n: int, k: int) -> Selection:
         """Serve a repeat from the winner table or evaluate and remember."""
-        winner = self.probe(m, n, k)
+        key = (int(m), int(n), int(k))
+        winner = self._winners.get(key)
         if winner is not None:
             inc_counter("adaptive.hit")
-            return Selection(int(m), int(n), int(k), winner, source="winner")
+            return Selection(*key, winner, source="winner")
         inc_counter("adaptive.miss")
-        winner = self._evaluate(int(m), int(n), int(k))
-        self.remember(m, n, k, winner)
-        return Selection(int(m), int(n), int(k), winner, source="model")
+        winner = self._winners[key] = self._evaluate(*key)
+        return Selection(*key, winner, source="model")
 
     def __len__(self) -> int:
         return len(self._winners)
@@ -344,7 +204,6 @@ class AdaptiveReplayConfig:
     seed: int = 0
     dtype: str = _DEFAULT_DTYPE_NAME
     gpu: str = DEFAULT_GPU_NAME
-    adaptive: AdaptiveConfig = field(default_factory=AdaptiveConfig)
     #: ``"ensemble"`` (oracle-quality first visit, the Stream-K++ mode)
     #: or ``"analytic"`` (planning arithmetic only).
     evaluator: str = "ensemble"
@@ -367,15 +226,12 @@ def replay_adaptive(config: "AdaptiveReplayConfig | None" = None) -> dict:
     """Replay a Zipf trace through the adaptive selector and report.
 
     The report (the JSON behind ``repro adapt --out`` and the payload
-    ``bench_adaptive`` aggregates) covers the four headline claims:
+    ``bench_adaptive`` aggregates) covers the three headline claims:
 
     * **hit rate** — fraction of requests served from the winner table;
     * **selection latency** — hit-path p50/p99 vs the *cold*
       ``plan_query`` p50/p99 (measured per distinct universe shape, no
       cache anywhere) — the >=5x contract;
-    * **memory vs FP** — filter footprint, analytic FP bound at the
-      realized insert count, and the FP rate measured on a disjoint
-      probe corpus (seed+1, overlaps removed);
     * **regret** — mean/p99 of ``(chosen - oracle) / oracle`` per
       request for adaptive, the pure-analytic path, and the
       cuBLAS-style heuristic.  The oracle is the fastest of {Stream-K
@@ -383,7 +239,6 @@ def replay_adaptive(config: "AdaptiveReplayConfig | None" = None) -> dict:
       :func:`ensemble_evaluator` remembers, so adaptive regret is zero
       by construction in ensemble mode.
     """
-    from ..corpus.generator import CorpusSpec, generate_corpus
     from ..plan.loadgen import LoadgenConfig, zipf_trace
 
     config = config or AdaptiveReplayConfig()
@@ -394,7 +249,7 @@ def replay_adaptive(config: "AdaptiveReplayConfig | None" = None) -> dict:
     )
     make = ensemble_evaluator if config.evaluator == "ensemble" else analytic_evaluator
     selector = AdaptiveSelector(
-        dtype, gpu, config.adaptive, evaluator=make(dtype, gpu, params=params)
+        dtype, gpu, evaluator=make(dtype, gpu, params=params)
     )
 
     trace = zipf_trace(
@@ -458,20 +313,6 @@ def replay_adaptive(config: "AdaptiveReplayConfig | None" = None) -> dict:
         regret_analytic.append((analytic_by_shape[shape] - oracle) / oracle)
         regret_cublas.append((cublas_by_shape[shape] - oracle) / oracle)
 
-    # Realized FP rate on a disjoint probe set (fresh corpus, overlaps
-    # with the traffic universe removed — every True is a false alarm).
-    seen = {tuple(int(v) for v in row) for row in universe}
-    probe = generate_corpus(
-        CorpusSpec(size=config.universe, seed=config.seed + 1)
-    )
-    probe_keys = [
-        shape_key(int(m), int(n), int(k), dtype.name, selector.fingerprint)
-        for m, n, k in probe
-        if (int(m), int(n), int(k)) not in seen
-    ]
-    measured_fp = selector.filter.measured_fp_rate(probe_keys)
-    analytic_fp = selector.filter.analytic_fp_rate()
-
     completed = len(hit_lat) + len(miss_lat)
     hit_p99 = _pct_us(hit_lat, 99)
     cold_p99 = _pct_us(cold_lat, 99)
@@ -504,18 +345,5 @@ def replay_adaptive(config: "AdaptiveReplayConfig | None" = None) -> dict:
             "cublas_mean": float(np.mean(regret_cublas)),
             "cublas_p99": float(np.percentile(regret_cublas, 99)),
         },
-        "filter": {
-            "bits": selector.filter.params.bits,
-            "num_hashes": selector.filter.params.num_hashes,
-            "counter_bits": selector.filter.params.counter_bits,
-            "seed": selector.filter.params.seed,
-            "memory_bytes": selector.filter.memory_bytes,
-            "inserted": selector.filter.inserted,
-            "saturations": selector.filter.saturations,
-            "analytic_fp_rate": analytic_fp,
-            "measured_fp_rate": measured_fp,
-            "probe_keys": len(probe_keys),
-        },
         "winners": len(selector),
-        "max_winners": config.adaptive.max_winners,
     }

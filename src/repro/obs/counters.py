@@ -54,7 +54,6 @@ and ``a.c``):
 ``plancache.flush_failed``              plan-shard writes hit ENOSPC/EROFS
 ``serve.requests``                      plan queries accepted by the daemon
 ``serve.cache_hit|cache_miss``          ...split by plan-cache outcome
-``serve.adaptive_hit|adaptive_miss``    Stream-K++ winner-cache outcomes
 ``serve.batches|batched_queries``       micro-batches flushed / their size
 ``serve.unique_shapes``                 deduped shapes actually planned
 ``serve.shed``                          misses rejected at max_queue_depth
@@ -69,12 +68,8 @@ and ``a.c``):
 ``serve.oversized_line``                request lines over max_line_bytes
 ``serve.idle_disconnects``              idle connections reaped
 ``serve.stop_timeout``                  accept loop failed to stop in time
-``bloom.insert|delete``                 counting-filter membership writes
-``bloom.query_hit|query_miss``          counting-filter probe outcomes
-``bloom.saturated``                     counters stuck at the ceiling
-``adaptive.hit|miss``                   winner served vs evaluator run
-``adaptive.filter_fp``                  filter said yes, table said no
-``adaptive.evicted``                    winner-table LRU evictions
+``serve.close_wedged``                  close() outlived by a stuck batcher
+``adaptive.hit|miss``                   winner served vs policy run
 ======================================  =================================
 
 Like the profiler, worker processes ship :func:`snapshot_counters` back to

@@ -11,9 +11,6 @@ side: :mod:`repro.harness`, :mod:`repro.gpu.executor`).
 * :mod:`~repro.plan.cache` — tiered plan cache (hot LRU → persistent
   shard), keyed on shape + dtype + GPU fingerprint, invalidated by
   engine version or fingerprint change.
-* :mod:`~repro.plan.filtercache` — seeded counting Bloom filter over
-  shape keys, the membership gate of the Stream-K++ adaptive winner
-  cache (:mod:`repro.ensembles.adaptive`; ``docs/ADAPTIVE.md``).
 * :mod:`~repro.plan.service` — micro-batching :class:`PlanService`:
   synchronous cache hits, window-coalesced misses.
 * :mod:`~repro.plan.resilience` — the overload contract: structured
@@ -32,12 +29,6 @@ expectations) is documented in ``docs/SERVING.md``.
 """
 
 from .cache import PlanCache, wipe_plan_cache
-from .filtercache import (
-    BloomParams,
-    CountingBloomFilter,
-    analytic_fp_rate,
-    shape_key,
-)
 from .core import (
     KIND_NAMES,
     PLAN_ENGINE_VERSION,
@@ -74,10 +65,6 @@ __all__ = [
     "traffic_bytes",
     "PlanCache",
     "wipe_plan_cache",
-    "BloomParams",
-    "CountingBloomFilter",
-    "analytic_fp_rate",
-    "shape_key",
     "PlanService",
     "ServeConfig",
     "DEFAULT_DTYPE_NAME",

@@ -17,8 +17,8 @@ bursty, adversarial, or partially-broken conditions (docs/SERVING.md,
   catching the library's one boundary type keep working.
 * **Circuit breaker** (:class:`CircuitBreaker`) — wraps the batcher's
   ``plan_batch``: after ``threshold`` *consecutive* failures the
-  breaker opens and the service degrades to serving hot-cache/adaptive
-  hits only; after ``cooldown_s`` a single half-open probe is admitted
+  breaker opens and the service degrades to serving plan-cache hits
+  only; after ``cooldown_s`` a single half-open probe is admitted
   and its outcome closes or re-opens the breaker.  Transitions count
   ``serve.breaker_open`` / ``serve.breaker_half_open`` /
   ``serve.breaker_closed``.

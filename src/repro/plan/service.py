@@ -20,15 +20,6 @@ loadgen``'s in-process mode.  It implements the serving contract of
   configured bindings so the first miss never pays simulator
   microbenchmarks inline.
 
-* **Adaptive hot path** (optional, ``--adaptive`` on ``repro serve``) —
-  the Stream-K++ winner cache
-  (:class:`repro.ensembles.adaptive.AdaptiveSelector`) sits *ahead* of
-  the LRU: a counting-Bloom probe plus an exact winner-table lookup
-  serves repeat shapes before the plan cache is even consulted, and
-  every batched miss is remembered into it.  A filter false positive
-  only costs that probe — the query falls through to the normal
-  cache/model path, never to a wrong plan.
-
 The service is **overload-resilient by construction**
 (:mod:`repro.plan.resilience`; docs/SERVING.md "Overload behavior"):
 
@@ -45,7 +36,7 @@ The service is **overload-resilient by construction**
 * **Circuit breaker** — ``breaker_threshold`` consecutive batcher
   failures open a :class:`~repro.plan.resilience.CircuitBreaker`
   around ``plan_batch``: misses are rejected fast with
-  :class:`DegradedError` while cache/adaptive hits keep being served;
+  :class:`DegradedError` while cache hits keep being served;
   after ``breaker_cooldown_s`` one half-open probe decides recovery.
 * **Graceful drain** — :meth:`drain` stops admitting, the batcher
   flushes in-flight work, and :meth:`stats`/:meth:`health` keep
@@ -53,10 +44,9 @@ The service is **overload-resilient by construction**
 
 Counters (:mod:`repro.obs.counters`): ``serve.requests``,
 ``serve.cache_hit`` / ``serve.cache_miss`` (the pair behind
-``hit_rate("serve.cache")``), ``serve.adaptive_hit`` /
-``serve.adaptive_miss`` (winner-cache outcomes when enabled),
-``serve.batches``, ``serve.batched_queries``, ``serve.unique_shapes``,
-plus the resilience family: ``serve.shed``, ``serve.deadline_expired``,
+``hit_rate("serve.cache")``), ``serve.batches``,
+``serve.batched_queries``, ``serve.unique_shapes``, plus the
+resilience family: ``serve.shed``, ``serve.deadline_expired``,
 ``serve.abandoned``, ``serve.degraded_rejected``,
 ``serve.draining_rejected``, ``serve.breaker_{open,half_open,closed}``,
 ``serve.chaos_injected``.  Each flush of the batcher runs under an obs
@@ -120,19 +110,6 @@ class ServeConfig:
     warm_bindings: "tuple[tuple[str, str], ...]" = (
         (DEFAULT_GPU_NAME, DEFAULT_DTYPE_NAME),
     )
-    #: Enable the Stream-K++ adaptive winner cache ahead of the LRU
-    #: (``--adaptive``; docs/ADAPTIVE.md).
-    adaptive: bool = False
-    #: Counting-Bloom slots per binding (0 = degenerate always-miss).
-    adaptive_filter_bits: int = 1 << 16
-    #: Hash functions per shape key.
-    adaptive_hashes: int = 4
-    #: Bits per counting slot (saturating).
-    adaptive_counter_bits: int = 4
-    #: Filter hash seed (determinism across processes).
-    adaptive_seed: int = 0
-    #: Winner-table LRU capacity; evictions delete from the filter.
-    adaptive_max_winners: int = 65536
     #: Admission control: bound on queued misses.  At the bound, new
     #: misses are shed (reject-newest, ``OverloadedError``) instead of
     #: queueing — deterministic load-shedding.
@@ -203,25 +180,6 @@ class _Binding:
             persist=config.persist,
         )
         self.params = None  # calibrated lazily or by warm-up
-        self.adaptive = None
-        if config.adaptive:
-            # Imported here, not at module level: ensembles.adaptive
-            # builds on repro.plan, so the dependency must stay one-way
-            # except for this opt-in hook.
-            from ..ensembles.adaptive import AdaptiveConfig, AdaptiveSelector
-
-            self.adaptive = AdaptiveSelector(
-                dtype,
-                gpu,
-                AdaptiveConfig(
-                    filter_bits=config.adaptive_filter_bits,
-                    num_hashes=config.adaptive_hashes,
-                    counter_bits=config.adaptive_counter_bits,
-                    filter_seed=config.adaptive_seed,
-                    max_winners=config.adaptive_max_winners,
-                ),
-            )
-        self.adaptive_lock = threading.Lock()
 
     def calibrated(self):
         if self.params is None:
@@ -346,16 +304,6 @@ class PlanService:
         with self._stats_lock:
             self._requests_total += 1
         binding = self._binding(dtype, gpu)
-        if binding.adaptive is not None:
-            with binding.adaptive_lock:
-                plan = binding.adaptive.probe_plan(m, n, k)
-            if plan is not None:
-                inc_counter("serve.adaptive_hit")
-                inc_counter("serve.cache_hit")
-                with self._stats_lock:
-                    self._hit_lat.append(time.perf_counter() - t0)
-                return plan
-            inc_counter("serve.adaptive_miss")
         plan = binding.cache.get(m, n, k)
         if plan is not None:
             inc_counter("serve.cache_hit")
@@ -539,9 +487,6 @@ class PlanService:
                     by_key = {unique[i]: result.plan(i) for i in range(len(unique))}
                     for plan in by_key.values():
                         binding.cache.put(plan)
-                        if binding.adaptive is not None:
-                            with binding.adaptive_lock:
-                                binding.adaptive.remember_plan(plan)
                     for pending in members:
                         pending.plan = by_key[pending.key]
                         pending.event.set()
@@ -611,28 +556,6 @@ class PlanService:
             "bindings": sorted(
                 "%s@%s" % (b.dtype.name, b.gpu.name)
                 for b in self._bindings.values()
-            ),
-            "adaptive": self._adaptive_stats(),
-        }
-
-    def _adaptive_stats(self) -> "dict | None":
-        """Winner-cache occupancy/footprint, or None when disabled."""
-        with self._bindings_lock:
-            selectors = [
-                b.adaptive
-                for b in self._bindings.values()
-                if b.adaptive is not None
-            ]
-        if not selectors:
-            return None
-        return {
-            "winners": sum(len(s) for s in selectors),
-            "filter_memory_bytes": sum(
-                s.filter.memory_bytes for s in selectors
-            ),
-            "filter_inserted": sum(s.filter.inserted for s in selectors),
-            "filter_saturations": sum(
-                s.filter.saturations for s in selectors
             ),
         }
 

@@ -309,10 +309,12 @@ class TestDegradation:
                 str(victim / "j"), corpus_key=KEY, bounds=BOUNDS
             )
             if os.getuid() == 0:
+                jr.close()
                 pytest.skip("root ignores directory permissions")
             assert jr.degraded
             assert get_counter("harness.journal.degraded") == 1
             assert jr.record_done(0, timings) is None
+            jr.close()
         finally:
             os.chmod(victim, 0o755)
 

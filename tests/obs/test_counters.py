@@ -80,11 +80,13 @@ class TestReport:
 
 
 class TestCounterTable:
-    """The module docstring's table documents every durable-store and
-    sweep counter the code emits, and nothing it no longer emits."""
+    """The module docstring's table documents every durable-store,
+    sweep, serve and adaptive counter the code emits, and nothing it no
+    longer emits."""
 
     PREFIXES = (
         "journal", "fabric", "harness", "evalcache", "paramcache", "plancache",
+        "serve", "adaptive",
     )
 
     @staticmethod

@@ -383,7 +383,6 @@ class TestAdaptCommand:
         report = json.loads(out_path.read_text())
         assert report["hits"] + report["misses"] == 300
         assert report["regret"]["adaptive_mean"] <= 0.01
-        assert report["filter"]["memory_bytes"] > 0
 
     def test_adapt_analytic_evaluator(self, capsys):
         rc = main(
@@ -393,28 +392,15 @@ class TestAdaptCommand:
         assert rc == 0
         assert "analytic evaluator" in capsys.readouterr().out
 
-    def test_adapt_zero_capacity_filter_never_hits(self, capsys, tmp_path):
-        out_path = tmp_path / "adapt.json"
-        rc = main(
-            ["adapt", "--requests", "120", "--universe", "16",
-             "--filter-bits", "0", "--evaluator", "analytic",
-             "--out", str(out_path)]
-        )
-        assert rc == 0
-        report = json.loads(out_path.read_text())
-        assert report["hits"] == 0 and report["misses"] == 120
-
-    def test_serve_demo_with_adaptive_flag(self, capsys):
-        rc = main(
-            ["serve", "--demo", "40", "--adaptive", "--no-persist",
-             "--no-warm"]
-        )
-        assert rc == 0
-        assert "serve demo (40 requests" in capsys.readouterr().out
-
     def test_bad_evaluator_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["adapt", "--evaluator", "psychic"])
+        for argv in (
+            ["adapt", "--evaluator", "psychic"],
+            # Removed flags: serve has one cache, adapt has no filter.
+            ["serve", "--adaptive"],
+            ["adapt", "--filter-bits", "0"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
 
 class TestSweepCommand:
