@@ -341,8 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--demo", type=int, default=None, metavar="N",
-        help="self-contained demo: boot the service, replay an N-request "
-        "Zipf trace in-process, print the serving stats, and exit",
+        help="self-contained demo: boot the daemon on an ephemeral local "
+        "port, replay an N-request Zipf trace over its socket, print the "
+        "serving stats, and exit",
     )
 
     p = sub.add_parser(
@@ -374,23 +375,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--connect", default=None, metavar="HOST:PORT",
-        help="drive a running `repro serve` daemon over TCP instead of an "
-        "in-process service",
+        help="drive a running `repro serve` daemon instead of a local one "
+        "started for the run",
     )
     p.add_argument(
         "--batch-window-ms", type=float, default=2.0, metavar="MS",
-        help="micro-batching window of the in-process service (ignored "
-        "with --connect; default 2.0)",
+        help="micro-batching window of the local daemon started when "
+        "--connect is not given (default 2.0)",
     )
     p.add_argument(
         "--no-warm", action="store_true",
-        help="skip startup calibration of the in-process service "
-        "(ignored with --connect)",
+        help="skip startup calibration of the local daemon started when "
+        "--connect is not given",
     )
     p.add_argument(
         "--no-persist", action="store_true",
-        help="keep the in-process service's plan cache memory-only "
-        "(ignored with --connect)",
+        help="keep the plan cache of the local daemon started when "
+        "--connect is not given memory-only",
     )
     p.add_argument(
         "--deadline-ms", type=float, default=None, metavar="MS",
@@ -406,11 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--backoff-ms", type=float, default=5.0, metavar="MS",
         help="first-retry backoff before jitter; doubles per retry, "
         "capped (default 5)",
-    )
-    p.add_argument(
-        "--hedge-ms", type=float, default=None, metavar="MS",
-        help="hedge an unanswered request on a second connection after "
-        "MS (socket mode only; first reply wins; default: off)",
     )
     p.add_argument(
         "--out", default=None, metavar="PATH",
@@ -851,7 +847,6 @@ def _serve_config(args) -> "object":
 
 
 def _print_loadgen_report(report: dict) -> None:
-    print("mode        : %s" % report["mode"])
     print(
         "requests    : %d completed, %d failed (universe %d, zipf s=%.2f, "
         "%d clients)"
@@ -881,25 +876,22 @@ def _print_loadgen_report(report: dict) -> None:
     print("latency p99 : hit %s, miss %s%s"
           % (us(report["hit_p99_us"]), us(report["miss_p99_us"]),
              "  (%.1fx split)" % split if split else ""))
-    if report.get("retries") or report.get("hedges"):
-        print("resilience  : %d retr%s, %d hedge(s) (%d won)"
+    if report.get("retries"):
+        print("resilience  : %d retr%s"
               % (report["retries"],
-                 "y" if report["retries"] == 1 else "ies",
-                 report["hedges"], report["hedge_wins"]))
+                 "y" if report["retries"] == 1 else "ies"))
     if report.get("outcomes"):
         print("rejections  : %s"
               % ", ".join("%s=%d" % kv for kv in report["outcomes"].items()))
 
 
 def _cmd_serve(args) -> int:
-    from .plan.loadgen import LoadgenConfig, run_loadgen
-    from .plan.server import PlanServer
-    from .plan.service import PlanService
-
-    service = PlanService(_serve_config(args))
     if args.demo is not None:
-        # Self-contained demo for docs/CI: replay a small Zipf trace
-        # against the in-process service, print stats, exit cleanly.
+        # Self-contained demo for docs/CI: boot the daemon on an
+        # ephemeral port, replay a small Zipf trace over its socket,
+        # print stats, exit cleanly.
+        from .plan.loadgen import LoadgenConfig, run_loadgen
+
         report = run_loadgen(
             LoadgenConfig(
                 requests=args.demo,
@@ -907,14 +899,17 @@ def _cmd_serve(args) -> int:
                 dtype=args.dtype,
                 gpu=args.gpu,
             ),
-            service=service,
+            serve_config=_serve_config(args),
         )
-        service.close()
-        print("serve demo (%d requests against the in-process service)"
+        print("serve demo (%d requests over the socket of a local daemon)"
               % args.demo)
         _print_loadgen_report(report)
         return 0
 
+    from .plan.server import PlanServer
+    from .plan.service import PlanService
+
+    service = PlanService(_serve_config(args))
     server = PlanServer(
         service,
         host=args.host,
@@ -974,7 +969,6 @@ def _cmd_loadgen(args) -> int:
         deadline_ms=args.deadline_ms,
         retries=args.retries,
         backoff_ms=args.backoff_ms,
-        hedge_ms=args.hedge_ms,
     )
     connect = None
     if args.connect:

@@ -19,10 +19,11 @@ side: :mod:`repro.harness`, :mod:`repro.gpu.executor`).
   planner-chaos seam.
 * :mod:`~repro.plan.server` — JSONL TCP front-end (``repro serve``).
 * :mod:`~repro.plan.client` — resilient wire client
-  (:class:`PlanClient`): deadline propagation, seeded-backoff retries,
-  request hedging.
+  (:class:`PlanClient`): one blocking connection, deadline propagation,
+  seeded-backoff retries.
 * :mod:`~repro.plan.loadgen` — deterministic Zipf load generator
-  (``repro loadgen``) and its latency/QPS report.
+  (``repro loadgen``) that always drives a daemon over TCP, and its
+  latency/QPS report.
 
 The serving contract (wire schema, cache keys, invalidation, latency
 expectations) is documented in ``docs/SERVING.md``.

@@ -1,4 +1,4 @@
-"""Resilient JSONL plan client: retries, seeded backoff, hedging.
+"""Resilient JSONL plan client: one connection, retries, seeded backoff.
 
 :class:`PlanClient` speaks the ``docs/SERVING.md`` wire protocol to a
 running ``repro serve`` daemon and layers the client half of the
@@ -12,16 +12,15 @@ overload contract on top:
   exponential backoff + deterministic jitter.  ``degraded`` is *not*
   retried by default: the breaker just said the planner is down, and
   hammering it defeats the point.
-* **Hedging** — with ``hedge_ms`` set, a request that has not answered
-  within the hedge delay is re-sent on a second connection and the
-  first reply wins (classic tail-taming for one slow server thread).
-  The late loser's reply is remembered as *stale* and silently skipped
-  when it eventually arrives, so both connections stay usable — no
-  reconnect churn.
+* **Connection hygiene** — one blocking connection carries one request
+  at a time.  A timeout or transport error closes it and the next
+  attempt reconnects, so a reply that arrives after the caller gave up
+  dies with its connection and can never be returned for a later
+  request.
 
 Every outcome is tallied in :attr:`PlanClient.stats` (``requests``,
-``retries``, ``hedges``, ``hedge_wins``, ``failures`` and a per-code
-breakdown), which the load generator folds into its trace report.
+``retries``, ``failures`` and a per-code breakdown), which the load
+generator folds into its trace report.
 
 The client is deliberately single-threaded per instance (the load
 generator gives each client thread its own instance, seeded by client
@@ -32,78 +31,12 @@ contract.
 from __future__ import annotations
 
 import json
-import select
 import socket
 import time
 
-from ..errors import ConfigurationError
 from .resilience import RetryPolicy
 
 __all__ = ["PlanClient", "RetryPolicy"]
-
-
-class _Conn:
-    """One JSONL connection with an explicit line buffer.
-
-    ``makefile`` readers cannot be mixed with ``select``, so framing is
-    done by hand: ``recv`` into ``_buf``, split on newlines.  Replies
-    whose ``id`` is in ``stale_ids`` (a hedge loser, or a reply that
-    arrived after the caller gave up waiting) are consumed and dropped.
-    """
-
-    def __init__(self, host: str, port: int, timeout_s: float):
-        self.sock = socket.create_connection((host, port), timeout=timeout_s)
-        self.sock.setblocking(False)
-        self._buf = b""
-        self.stale_ids: "set[object]" = set()
-
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-    def send(self, msg: dict) -> None:
-        data = (json.dumps(msg) + "\n").encode("utf-8")
-        # Non-blocking socket: loop sendall by hand (requests are tiny,
-        # one iteration in practice).
-        while data:
-            try:
-                sent = self.sock.send(data)
-            except BlockingIOError:
-                select.select([], [self.sock], [], 1.0)
-                continue
-            data = data[sent:]
-
-    def _pop_line(self) -> "bytes | None":
-        nl = self._buf.find(b"\n")
-        if nl < 0:
-            return None
-        line, self._buf = self._buf[: nl + 1], self._buf[nl + 1:]
-        return line
-
-    def poll_reply(self) -> "dict | None":
-        """A buffered non-stale reply, if one is already framed."""
-        while True:
-            line = self._pop_line()
-            if line is None:
-                return None
-            reply = json.loads(line)
-            rid = reply.get("id")
-            if rid is not None and rid in self.stale_ids:
-                self.stale_ids.discard(rid)
-                continue
-            return reply
-
-    def fill(self) -> None:
-        """Read whatever the socket has into the buffer (may be a no-op)."""
-        try:
-            chunk = self.sock.recv(1 << 16)
-        except (BlockingIOError, InterruptedError):
-            return
-        if not chunk:
-            raise ConnectionError("plan server closed the connection")
-        self._buf += chunk
 
 
 class PlanClient:
@@ -122,43 +55,32 @@ class PlanClient:
         port: int,
         timeout_s: float = 30.0,
         retry: "RetryPolicy | None" = None,
-        hedge_ms: "float | None" = None,
     ):
-        if hedge_ms is not None and hedge_ms <= 0:
-            raise ConfigurationError("hedge_ms must be positive")
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
         self.retry = retry or RetryPolicy()
-        self.hedge_ms = hedge_ms
         self._rng = self.retry.rng()
         self._next_id = 0
-        self._primary: "_Conn | None" = None
-        self._hedge: "_Conn | None" = None
+        self._sock: "socket.socket | None" = None
+        self._reader = None
         self.stats = {
             "requests": 0,
             "retries": 0,
-            "hedges": 0,
-            "hedge_wins": 0,
             "failures": 0,
             "codes": {},
         }
 
     # ------------------------------------------------------------------ #
 
-    def _conn(self, which: str) -> _Conn:
-        attr = "_primary" if which == "primary" else "_hedge"
-        conn = getattr(self, attr)
-        if conn is None:
-            conn = _Conn(self.host, self.port, self.timeout_s)
-            setattr(self, attr, conn)
-        return conn
-
     def close(self) -> None:
-        for conn in (self._primary, self._hedge):
-            if conn is not None:
-                conn.close()
-        self._primary = self._hedge = None
+        if self._sock is not None:
+            try:
+                self._reader.close()
+                self._sock.close()
+            except OSError:
+                pass
+        self._sock = self._reader = None
 
     def __enter__(self) -> "PlanClient":
         return self
@@ -185,7 +107,7 @@ class PlanClient:
             msg["deadline_ms"] = float(deadline_ms)
         attempt = 0
         while True:
-            reply = self._attempt(dict(msg))
+            reply = self._attempt(msg)
             if reply.get("ok"):
                 return reply
             code = reply.get("code")
@@ -202,70 +124,26 @@ class PlanClient:
 
     def _attempt(self, msg: dict) -> dict:
         self._next_id += 1
-        rid = "c%d" % self._next_id
-        msg["id"] = rid
-        deadline = time.monotonic() + self.timeout_s
+        msg["id"] = "c%d" % self._next_id
         try:
-            primary = self._conn("primary")
-            primary.send(msg)
-            if self.hedge_ms is None:
-                reply = self._wait([primary], rid, deadline)
-            else:
-                hedge_at = time.monotonic() + self.hedge_ms / 1e3
-                reply = self._wait([primary], rid, min(deadline, hedge_at))
-                if reply is None and time.monotonic() < deadline:
-                    # Hedge: identical request on a second connection;
-                    # first reply (either connection) wins.
-                    self.stats["hedges"] += 1
-                    hedge = self._conn("hedge")
-                    hedge.send(msg)
-                    reply = self._wait([primary, hedge], rid, deadline,
-                                       hedge_conn=hedge)
-            if reply is not None:
-                return reply
-        except (OSError, ConnectionError, ValueError) as exc:
-            # Broken transport: drop both connections so the next
-            # attempt reconnects cleanly.
+            if self._sock is None:
+                self._sock = socket.create_connection(
+                    (self.host, self.port), timeout=self.timeout_s
+                )
+                self._reader = self._sock.makefile("rb")
+            self._sock.sendall((json.dumps(msg) + "\n").encode("utf-8"))
+            line = self._reader.readline()
+            if not line:
+                raise ConnectionError("plan server closed the connection")
+            return json.loads(line)
+        except socket.timeout:
+            # The server may still answer; closing the connection makes
+            # sure that late reply is never read as a later request's.
+            self.close()
+            return {"ok": False, "code": "timeout",
+                    "error": "no reply within %.1fs" % self.timeout_s}
+        except (OSError, ValueError) as exc:
+            # Broken transport or garbled reply: reconnect next attempt.
             self.close()
             return {"ok": False, "code": "timeout",
                     "error": "transport error: %s" % exc}
-        # No reply within timeout_s.  The server may still answer
-        # later; mark the id stale on both live connections so the
-        # leftover reply is skipped, not misattributed.
-        for conn in (self._primary, self._hedge):
-            if conn is not None:
-                conn.stale_ids.add(rid)
-        return {"ok": False, "code": "timeout",
-                "error": "no reply within %.1fs" % self.timeout_s}
-
-    def _wait(
-        self,
-        conns: "list[_Conn]",
-        rid: str,
-        deadline: float,
-        hedge_conn: "_Conn | None" = None,
-    ) -> "dict | None":
-        """First reply for ``rid`` from any of ``conns`` before
-        ``deadline`` (monotonic), or None."""
-        while True:
-            for conn in conns:
-                reply = conn.poll_reply()
-                if reply is not None and reply.get("id") in (rid, None):
-                    if len(conns) > 1:
-                        # The other connection owes a reply for rid too.
-                        loser = conns[0] if conn is conns[1] else conns[1]
-                        loser.stale_ids.add(rid)
-                        if conn is hedge_conn:
-                            self.stats["hedge_wins"] += 1
-                    return reply
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None
-            readable, _, _ = select.select(
-                [c.sock for c in conns], [], [], remaining
-            )
-            if not readable:
-                return None
-            for conn in conns:
-                if conn.sock in readable:
-                    conn.fill()

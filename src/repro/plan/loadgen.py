@@ -9,14 +9,12 @@ with Zipf rank weights ``P(rank i) ∝ 1 / i**s`` by a seeded
 :func:`numpy.random.default_rng` — so every run of ``repro loadgen``
 with the same knobs replays byte-for-byte the same request trace.
 
-Two drive modes share one measurement path:
-
-* **in-process** — construct a :class:`~repro.plan.service.PlanService`
-  and hammer it from ``clients`` threads (this is how the committed
-  ``BENCH_serve.json`` numbers are produced; no socket overhead).
-* **socket** — connect to a running ``repro serve`` daemon
-  (``--connect HOST:PORT``) and speak the JSONL protocol of
-  :mod:`repro.plan.server`; this is what the CI serve job replays.
+Every run drives the real serving path: client threads, each with its
+own :class:`~repro.plan.client.PlanClient`, speak the JSONL protocol of
+:mod:`repro.plan.server` to a ``repro serve`` daemon — the one at
+``--connect HOST:PORT`` or, without it, a
+:class:`~repro.plan.server.PlanServer` booted on an ephemeral local
+port for the length of the run.
 
 The report splits client-observed latency by cache outcome — the
 hit/miss split, not the blended number, is the serving contract's
@@ -24,14 +22,10 @@ headline (docs/SERVING.md, "Tail-latency expectations").
 
 The generator also exercises the *client* half of the overload
 contract (docs/SERVING.md, "Overload behavior"): per-request
-``deadline_ms`` budgets, seeded exponential-backoff retries on
-``overloaded``/``timeout`` rejections, and optional request hedging
-(``hedge_ms``) — in socket mode through
-:class:`~repro.plan.client.PlanClient`, in-process through the same
-:class:`~repro.plan.resilience.RetryPolicy`.  Retry/hedge outcomes and
-a per-code rejection breakdown land in the report, and because every
-backoff draw is seeded, a replayed run makes byte-identical retry
-decisions.
+``deadline_ms`` budgets and seeded exponential-backoff retries on
+``overloaded``/``timeout`` rejections.  Retry outcomes and a per-code
+rejection breakdown land in the report, and because every backoff draw
+is seeded, a replayed run makes byte-identical retry decisions.
 """
 
 from __future__ import annotations
@@ -47,6 +41,7 @@ from ..errors import ConfigurationError
 from ..gpu.spec import DEFAULT_GPU_NAME
 from .client import PlanClient
 from .resilience import RetryPolicy
+from .server import PlanServer
 from .service import DEFAULT_DTYPE_NAME, PlanService, ServeConfig
 
 __all__ = ["LoadgenConfig", "zipf_trace", "run_loadgen"]
@@ -76,9 +71,6 @@ class LoadgenConfig:
     retries: int = 0
     #: First-retry backoff before seeded jitter (exponential, capped).
     backoff_ms: float = 5.0
-    #: Hedge delay: re-send an unanswered request on a second
-    #: connection after this long (socket mode only; None = off).
-    hedge_ms: "float | None" = None
     #: Transport/service timeout per attempt.
     timeout_s: float = 30.0
 
@@ -95,8 +87,6 @@ class LoadgenConfig:
             raise ConfigurationError("retries must be >= 0")
         if self.backoff_ms < 0:
             raise ConfigurationError("backoff_ms must be >= 0")
-        if self.hedge_ms is not None and self.hedge_ms <= 0:
-            raise ConfigurationError("hedge_ms must be positive")
 
     def retry_policy(self, client_index: int) -> RetryPolicy:
         """The seeded per-client retry policy (distinct jitter streams
@@ -134,8 +124,6 @@ class _Recorder:
         self.errors: "list[str]" = []
         self.outcomes: "dict[str, int]" = {}
         self.retries = 0
-        self.hedges = 0
-        self.hedge_wins = 0
 
     def record(self, latency_s: float, hit: bool) -> None:
         with self._lock:
@@ -150,50 +138,6 @@ class _Recorder:
     def merge_client(self, stats: dict) -> None:
         with self._lock:
             self.retries += stats["retries"]
-            self.hedges += stats["hedges"]
-            self.hedge_wins += stats["hedge_wins"]
-
-    def count_retry(self, n: int = 1) -> None:
-        with self._lock:
-            self.retries += n
-
-
-def _drive_inprocess(
-    service: PlanService, trace: np.ndarray, config: LoadgenConfig
-) -> _Recorder:
-    rec = _Recorder()
-
-    def worker(index: int, rows: np.ndarray) -> None:
-        policy = config.retry_policy(index)
-        rng = policy.rng()
-        for m, n, k in rows:
-            t0 = time.perf_counter()
-            attempt = 0
-            while True:
-                try:
-                    plan = service.submit(
-                        int(m), int(n), int(k),
-                        dtype=config.dtype, gpu=config.gpu,
-                        timeout=config.timeout_s,
-                        deadline_ms=config.deadline_ms,
-                    )
-                except Exception as exc:
-                    code = getattr(exc, "code", None)
-                    if policy.should_retry(code, attempt):
-                        rec.count_retry()
-                        time.sleep(policy.backoff_s(attempt, rng))
-                        attempt += 1
-                        continue
-                    rec.fail(str(exc), code)
-                    break
-                rec.record(
-                    time.perf_counter() - t0,
-                    plan.provenance.startswith("cache"),
-                )
-                break
-
-    _run_clients(trace, config.clients, worker)
-    return rec
 
 
 def _drive_socket(
@@ -207,7 +151,6 @@ def _drive_socket(
             port,
             timeout_s=config.timeout_s,
             retry=config.retry_policy(index),
-            hedge_ms=config.hedge_ms,
         ) as client:
             for m, n, k in rows:
                 t0 = time.perf_counter()
@@ -223,55 +166,47 @@ def _drive_socket(
                 rec.record(latency, reply.get("cache") == "hit")
             rec.merge_client(client.stats)
 
-    _run_clients(trace, config.clients, worker)
-    return rec
-
-
-def _run_clients(trace: np.ndarray, clients: int, worker) -> None:
-    """Fan the trace out round-robin so hot ranks spread across threads."""
+    # Fan the trace out round-robin so hot ranks spread across threads.
     threads = [
         threading.Thread(
-            target=worker, args=(i, trace[i::clients]), daemon=True
+            target=worker, args=(i, trace[i::config.clients]), daemon=True
         )
-        for i in range(clients)
+        for i in range(config.clients)
     ]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
+    return rec
 
 
 def run_loadgen(
     config: "LoadgenConfig | None" = None,
     connect: "tuple[str, int] | None" = None,
-    service: "PlanService | None" = None,
     serve_config: "ServeConfig | None" = None,
 ) -> dict:
-    """Replay one Zipf trace and return the latency/QPS report.
+    """Replay one Zipf trace over TCP and return the latency/QPS report.
 
-    ``connect`` targets a running daemon over TCP; otherwise an
-    in-process :class:`PlanService` is constructed (or ``service`` is
-    used, and left open, if given).  The report is the JSON written by
+    ``connect`` targets a running daemon; otherwise a
+    :class:`PlanServer` over a fresh ``PlanService(serve_config)`` is
+    booted on an ephemeral port and stopped after the replay (its boot
+    and shutdown are not timed).  The report is the JSON written by
     ``repro loadgen --out`` and the payload ``bench_serve`` aggregates.
     """
     config = config or LoadgenConfig()
     trace = zipf_trace(config)
 
-    owned = None
-    t0 = time.perf_counter()
+    server = None
+    if connect is None:
+        server = PlanServer(PlanService(serve_config), port=0).start()
+        connect = ("127.0.0.1", server.port)
     try:
-        if connect is not None:
-            rec = _drive_socket(connect[0], connect[1], trace, config)
-            mode = "socket"
-        else:
-            if service is None:
-                service = owned = PlanService(serve_config)
-            rec = _drive_inprocess(service, trace, config)
-            mode = "in-process"
+        t0 = time.perf_counter()
+        rec = _drive_socket(connect[0], connect[1], trace, config)
+        elapsed = time.perf_counter() - t0
     finally:
-        if owned is not None:
-            owned.close()
-    elapsed = time.perf_counter() - t0
+        if server is not None:
+            server.stop()
 
     def pct_us(values, q):
         return float(np.percentile(values, q)) * 1e6 if values else None
@@ -280,7 +215,6 @@ def run_loadgen(
     hit_p99 = pct_us(rec.hit_lat, 99)
     miss_p99 = pct_us(rec.miss_lat, 99)
     return {
-        "mode": mode,
         "requests": config.requests,
         "completed": completed,
         "failed": len(rec.errors),
@@ -295,8 +229,6 @@ def run_loadgen(
         "qps": completed / elapsed if elapsed > 0 else None,
         "deadline_ms": config.deadline_ms,
         "retries": rec.retries,
-        "hedges": rec.hedges,
-        "hedge_wins": rec.hedge_wins,
         "outcomes": dict(sorted(rec.outcomes.items())),
         "hits": len(rec.hit_lat),
         "misses": len(rec.miss_lat),

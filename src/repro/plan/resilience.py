@@ -11,8 +11,8 @@ bursty, adversarial, or partially-broken conditions (docs/SERVING.md,
   machine-readable ``code`` (``overloaded``, ``deadline_expired``,
   ``degraded``, ``draining``, ``timeout``).  The wire front-end echoes
   the code so clients can decide *deterministically* whether to retry
-  (``overloaded``/``timeout``), hedge, or give up (``degraded`` while
-  the breaker is open).  All subclass
+  (``overloaded``/``timeout``) or give up (``degraded`` while the
+  breaker is open).  All subclass
   :class:`~repro.errors.ConfigurationError` so existing API callers
   catching the library's one boundary type keep working.
 * **Circuit breaker** (:class:`CircuitBreaker`) — wraps the batcher's

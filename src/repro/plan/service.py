@@ -1,8 +1,8 @@
 """The serving core: micro-batched planning over the tiered plan cache.
 
 :class:`PlanService` is the in-process engine behind ``repro serve``
-(:mod:`repro.plan.server` wraps it in a socket front-end) and ``repro
-loadgen``'s in-process mode.  It implements the serving contract of
+(:mod:`repro.plan.server` wraps it in a socket front-end, which is
+what ``repro loadgen`` drives).  It implements the serving contract of
 ``docs/SERVING.md``:
 
 * **Hit path** — :meth:`submit` resolves cache hits synchronously on the

@@ -134,21 +134,12 @@ class TestInProcess:
             LoadgenConfig(requests=300, universe=16, clients=4, seed=1),
             serve_config=ServeConfig(persist=False, warm=False),
         )
-        assert report["mode"] == "in-process"
         assert report["completed"] == 300 and report["failed"] == 0
         assert report["hits"] + report["misses"] == 300
         # 16 distinct shapes, 300 requests: overwhelmingly cache hits.
         assert report["hit_rate"] > 0.9
         assert report["qps"] > 0
         assert report["hit_p99_us"] > 0 and report["miss_p99_us"] > 0
-
-    def test_external_service_left_open(self):
-        svc = PlanService(ServeConfig(persist=False, warm=False))
-        run_loadgen(
-            LoadgenConfig(requests=50, universe=8, clients=2), service=svc
-        )
-        svc.submit(256, 256, 256)  # still usable
-        svc.close()
 
 
 class TestSocketMode:
@@ -162,7 +153,6 @@ class TestSocketMode:
             )
         finally:
             server.stop()
-        assert report["mode"] == "socket"
         assert report["completed"] == 200 and report["failed"] == 0
         assert report["hits"] + report["misses"] == 200
         assert report["hit_rate"] > 0.8

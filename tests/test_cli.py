@@ -1,6 +1,9 @@
 """CLI tests: every subcommand, argument validation, output contents."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -34,6 +37,36 @@ class TestParser:
 
         with pytest.raises(ConfigurationError, match="h100_sxm"):
             main(["plan", "1", "1", "1", "--gpu", "h100"])
+
+
+class TestEntryPointErrors:
+    """``python -m repro`` turns a ReproError into one line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["plan", "128", "128", "0"],
+             "extent k must be positive, got 0"),
+            (["sweep"], "repro sweep needs a journal directory"),
+            (["plan", "128", "128", "128", "--gpu", "/nonexistent.json"],
+             "cannot read GPU spec file '/nonexistent.json'"),
+        ],
+    )
+    def test_repro_error_is_one_line_exit_2(self, argv, message):
+        env = dict(os.environ)
+        env.pop("REPRO_JOURNAL_DIR", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + env.get("PYTHONPATH", "").split(os.pathsep)
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro"] + argv,
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("repro: error: " + message)
 
 
 class TestCommands:
@@ -302,7 +335,7 @@ class TestServeCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "serve demo (60 requests" in out
-        assert "mode        : in-process" in out
+        assert "over the socket of a local daemon" in out
         assert "hit rate" in out and "latency p99" in out
 
     def test_loadgen_in_process_writes_report(self, capsys, tmp_path):
