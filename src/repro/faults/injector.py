@@ -14,16 +14,19 @@ structurally (SM slot index, CTA id, segment index).  Two consequences:
   dimension under study.
 
 The hash is splitmix64 over the seed and the site ids, mixed per fault
-dimension through a distinct domain tag.  Every injection that *fires*
-is recorded in :attr:`FaultInjector.log` and counted in the
-:mod:`repro.obs.counters` registry under ``faults.*`` (once per site —
-queries are memoized), so profiles and reports show exactly what was
-injected where.
+dimension through a distinct domain tag.  Draws are recomputed, never
+stored: the bulk methods draw whole site arrays in one vectorized pass.
+Every injection that *fires* is logged once per site (a set of drawn
+integer site keys per dimension, shared by the scalar and bulk paths),
+in columnar chunks: :attr:`FaultInjector.log` builds its records only
+when read, and each call bumps ``faults.<kind>`` in
+:mod:`repro.obs.counters` once, by its fired count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,6 +49,11 @@ _DOM_SIG_DROP = 0xD20
 _DOM_PREEMPT = 0x9EE
 _DOM_PREEMPT_FRAC = 0x9EF
 
+#: Site ids must lie in ``[0, 2**31)``: a (CTA, segment) site is keyed
+#: as ``cta * 2**32 + segment``, which is then collision-free in int64.
+_ID_LIMIT = 1 << 31
+_BAD_IDS = "fault site ids must be integers in [0, 2**31)"
+
 #: Segment kinds whose cycle cost is DRAM/L2-latency bound and therefore
 #: subject to memory jitter.
 _MEMORY_KINDS = frozenset(
@@ -61,10 +69,15 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+@lru_cache(maxsize=64)
+def _domain_prefix(seed: int, domain: int) -> int:
+    """The hash state after mixing the seed and the domain tag."""
+    return _splitmix64(_splitmix64(seed & _MASK64) ^ domain)
+
+
 def _site_u01(seed: int, domain: int, *ids: int) -> float:
     """Uniform [0, 1) draw keyed by (seed, domain, site ids)."""
-    x = _splitmix64(seed & _MASK64)
-    x = _splitmix64(x ^ domain)
+    x = _domain_prefix(seed, domain)
     for i in ids:
         x = _splitmix64(x ^ (i & _MASK64))
     return x / float(1 << 64)
@@ -89,22 +102,21 @@ def _site_u01_vec(seed: int, domain: int, *id_arrays) -> np.ndarray:
     """
     id_arrays = [np.ascontiguousarray(a, dtype=np.uint64) for a in id_arrays]
     n = id_arrays[0].shape[0] if id_arrays else 1
-    x = np.full(n, _splitmix64(seed & _MASK64), dtype=np.uint64)
-    x = _splitmix64_vec(x ^ np.uint64(domain))
+    x = np.full(n, _domain_prefix(seed, domain), dtype=np.uint64)
     for ids in id_arrays:
         x = _splitmix64_vec(x ^ ids)
     return x.astype(np.float64) / float(1 << 64)
 
 
-def _missing_first_occurrence(keys, memo):
-    """Indices of the first occurrence of each key not already memoized."""
-    seen = set()
-    out = []
-    for i, key in enumerate(keys):
-        if key not in memo and key not in seen:
-            seen.add(key)
-            out.append(i)
-    return out
+def _site_ids(ids) -> np.ndarray:
+    """One id column as int64, rejecting ids whose site key would collide."""
+    try:
+        ids = np.ascontiguousarray(ids, dtype=np.int64)
+    except OverflowError:
+        ids = np.array([-1])
+    if ids.size and (ids.min() < 0 or ids.max() >= _ID_LIMIT):
+        raise ConfigurationError(_BAD_IDS)
+    return ids
 
 
 @dataclass(frozen=True)
@@ -124,23 +136,27 @@ class InjectedFault:
     segment: "int | None" = None
 
 
+
+
 class FaultInjector:
-    """Stateful facade over a :class:`FaultConfig`: memoized site queries.
+    """Stateful facade over a :class:`FaultConfig`: once-per-site logging.
 
     One injector instance corresponds to one simulated execution; the
-    memoization guarantees a site queried twice (cost model then
+    drawn-site sets guarantee a site queried twice (cost model then
     executor, or diagnostic replay) reports the same draw and is logged
     and counted exactly once.
     """
 
     def __init__(self, config: FaultConfig):
         self.config = config
-        self.log: "list[InjectedFault]" = []
-        self._slot_mult: "dict[int, float]" = {}
+        # Per dimension, the integer keys of the sites already drawn.
+        self._drawn = {d: set() for d in ("slot", "mem", "preempt", "delay", "drop")}
+        # Penalties scale with the querying base cycles: pinned per site.
         self._seg_mult: "dict[tuple[int, int], float]" = {}
-        self._mem_mult: "dict[tuple[int, int], float]" = {}
-        self._sig_delay: "dict[int, float]" = {}
-        self._sig_drop: "dict[int, bool]" = {}
+        # Fired injections, one (kinds, which, values, sites) chunk per
+        # call; ``which`` indexes ``kinds`` per entry.
+        self._chunks: "list[tuple]" = []
+        self._counts: "dict[str, int]" = {}
 
     # ------------------------------------------------------------------ #
     # Per-SM-slot faults                                                  #
@@ -153,29 +169,30 @@ class FaultInjector:
         with the continuous clock-skew drift in ``[1, 1 + clock_skew]``.
         Exactly 1.0 when neither dimension is configured.
         """
-        mult = self._slot_mult.get(sm_slot)
-        if mult is not None:
-            return mult
         cfg = self.config
+        straggle = cfg.straggler_prob > 0.0 and cfg.straggler_severity > 0.0
+        if not straggle and cfg.clock_skew <= 0.0:
+            return 1.0
+        fresh = self._fresh_site("slot", sm_slot)
         mult = 1.0
-        if cfg.straggler_prob > 0.0 and cfg.straggler_severity > 0.0:
-            if _site_u01(cfg.seed, _DOM_STRAGGLER, sm_slot) < cfg.straggler_prob:
-                mult *= 1.0 + cfg.straggler_severity
+        if straggle and (
+            _site_u01(cfg.seed, _DOM_STRAGGLER, sm_slot) < cfg.straggler_prob
+        ):
+            mult = 1.0 + cfg.straggler_severity
+            if fresh:
                 self._record("straggler", mult, sm_slot=sm_slot)
         if cfg.clock_skew > 0.0:
             skew = 1.0 + cfg.clock_skew * _site_u01(cfg.seed, _DOM_SKEW, sm_slot)
             mult *= skew
-            self._record("clock_skew", skew, sm_slot=sm_slot)
-        self._slot_mult[sm_slot] = mult
+            if fresh:
+                self._record("clock_skew", skew, sm_slot=sm_slot)
         return mult
 
     # ------------------------------------------------------------------ #
     # Per-segment faults (cost-model side)                                #
     # ------------------------------------------------------------------ #
 
-    def mem_latency_multiplier(
-        self, cta: int, segment: int, kind: SegmentKind
-    ) -> float:
+    def mem_latency_multiplier(self, cta: int, segment: int, kind: SegmentKind) -> float:
         """DRAM/L2 jitter multiplier for one memory-priced segment.
 
         Keyed by (CTA, segment index); non-memory kinds always get 1.0.
@@ -185,14 +202,10 @@ class FaultInjector:
         cfg = self.config
         if cfg.mem_jitter <= 0.0 or kind not in _MEMORY_KINDS:
             return 1.0
-        key = (cta, segment)
-        mult = self._mem_mult.get(key)
-        if mult is None:
-            mult = 1.0 + cfg.mem_jitter * _site_u01(
-                cfg.seed, _DOM_JITTER, cta, segment
-            )
+        fresh = self._fresh_site("mem", cta, segment)
+        mult = 1.0 + cfg.mem_jitter * _site_u01(cfg.seed, _DOM_JITTER, cta, segment)
+        if fresh:
             self._record("mem_jitter", mult, cta=cta, segment=segment)
-            self._mem_mult[key] = mult
         return mult
 
     # ------------------------------------------------------------------ #
@@ -226,11 +239,13 @@ class FaultInjector:
             key = (cta, segment)
             penalty = self._seg_mult.get(key)
             if penalty is None:
+                fresh = self._fresh_site("preempt", cta, segment)
                 penalty = 0.0
                 if _site_u01(cfg.seed, _DOM_PREEMPT, cta, segment) < cfg.preempt_prob:
                     lost = _site_u01(cfg.seed, _DOM_PREEMPT_FRAC, cta, segment)
                     penalty = cfg.preempt_penalty_cycles + lost * base_cycles
-                    self._record("preempt", penalty, cta=cta, segment=segment)
+                    if fresh:
+                        self._record("preempt", penalty, cta=cta, segment=segment)
                 self._seg_mult[key] = penalty
             cycles += penalty
         return cycles
@@ -244,15 +259,13 @@ class FaultInjector:
         cfg = self.config
         if cfg.signal_delay_prob <= 0.0 or cfg.signal_delay_cycles <= 0.0:
             return 0.0
-        delay = self._sig_delay.get(cta)
-        if delay is None:
-            delay = 0.0
-            if _site_u01(cfg.seed, _DOM_SIG_DELAY, cta) < cfg.signal_delay_prob:
-                delay = cfg.signal_delay_cycles * (
-                    0.5 + 0.5 * _site_u01(cfg.seed, _DOM_SIG_DELAY, cta, 1)
-                )
-                self._record("signal_delay", delay, cta=cta)
-            self._sig_delay[cta] = delay
+        fresh = self._fresh_site("delay", cta)
+        if _site_u01(cfg.seed, _DOM_SIG_DELAY, cta) >= cfg.signal_delay_prob:
+            return 0.0
+        u = _site_u01(cfg.seed, _DOM_SIG_DELAY, cta, 1)
+        delay = cfg.signal_delay_cycles * (0.5 + 0.5 * u)
+        if fresh:
+            self._record("signal_delay", delay, cta=cta)
         return delay
 
     def signal_dropped(self, cta: int) -> bool:
@@ -266,18 +279,16 @@ class FaultInjector:
         cfg = self.config
         if cfg.signal_drop_prob <= 0.0:
             return False
-        dropped = self._sig_drop.get(cta)
-        if dropped is None:
-            dropped = _site_u01(cfg.seed, _DOM_SIG_DROP, cta) < cfg.signal_drop_prob
-            if dropped:
-                self._record("signal_drop", 0.0, cta=cta)
-            self._sig_drop[cta] = dropped
+        fresh = self._fresh_site("drop", cta)
+        dropped = _site_u01(cfg.seed, _DOM_SIG_DROP, cta) < cfg.signal_drop_prob
+        if dropped and fresh:
+            self._record("signal_drop", 0.0, cta=cta)
         return dropped
 
     @property
     def dropped_signals(self) -> "frozenset[int]":
         """CTA ids whose signals were dropped (among queried sites)."""
-        return frozenset(c for c, d in self._sig_drop.items() if d)
+        return frozenset(f.cta for f in self.log if f.kind == "signal_drop")
 
     # ------------------------------------------------------------------ #
     # Bulk vectorized draws (array backends)                              #
@@ -288,7 +299,7 @@ class FaultInjector:
 
         This is the array-backend twin of the scalar query methods:
         every returned value is bitwise identical to the corresponding
-        scalar draw, the per-site memo is shared with the scalar path
+        scalar draw, the drawn-site sets are shared with the scalar path
         (mixing bulk and scalar queries in either order is safe), and
         each *fired* site is logged and counted exactly once no matter
         how many times or through which API it is queried.
@@ -306,188 +317,168 @@ class FaultInjector:
           latency multipliers.  Pass only memory-kind segment sites.
         * ``"signal_delay"`` — ``(ctas,)``; returns delay cycles.
         * ``"signal_drop"`` — ``(ctas,)``; returns a boolean array.
+
+        Site ids must be integers in ``[0, 2**31)``; others raise
+        :class:`~repro.errors.ConfigurationError`.
         """
-        if dimension == "slot_multiplier":
-            (slots,) = site_arrays
-            return self.slot_multipliers(slots)
+        method = _BULK_METHODS.get(dimension)
+        if method is None:
+            raise ConfigurationError(
+                "unknown fault draw dimension %r; expected %s"
+                % (dimension, ", ".join(_BULK_METHODS))
+            )
         if dimension == "preempt_penalty":
-            ctas, segments = site_arrays
             if base_cycles is None:
-                raise ConfigurationError(
-                    "preempt_penalty draws require base_cycles"
-                )
-            return self.preempt_penalties(ctas, segments, base_cycles)
-        if dimension == "mem_jitter":
-            ctas, segments = site_arrays
-            return self.mem_latency_multipliers(ctas, segments)
-        if dimension == "signal_delay":
-            (ctas,) = site_arrays
-            return self.signal_delays(ctas)
-        if dimension == "signal_drop":
-            (ctas,) = site_arrays
-            return self.signal_drops(ctas)
-        raise ConfigurationError(
-            "unknown fault draw dimension %r; expected slot_multiplier, "
-            "preempt_penalty, mem_jitter, signal_delay or signal_drop"
-            % (dimension,)
-        )
+                raise ConfigurationError("preempt_penalty draws require base_cycles")
+            site_arrays += (base_cycles,)
+        return getattr(self, method)(*site_arrays)
 
     def slot_multipliers(self, sm_slots) -> np.ndarray:
         """Vectorized :meth:`slot_multiplier` over an array of slot ids."""
-        slots = np.ascontiguousarray(sm_slots, dtype=np.int64)
-        slot_list = slots.tolist()
-        memo = self._slot_mult
-        miss_idx = _missing_first_occurrence(slot_list, memo)
-        if miss_idx:
-            cfg = self.config
-            sites = slots[np.array(miss_idx, dtype=np.int64)]
-            strag = np.ones(len(miss_idx), dtype=np.float64)
-            strag_fired = None
-            if cfg.straggler_prob > 0.0 and cfg.straggler_severity > 0.0:
-                u = _site_u01_vec(cfg.seed, _DOM_STRAGGLER, sites)
-                strag_fired = (u < cfg.straggler_prob).tolist()
-                strag = np.where(
-                    strag_fired, 1.0 + cfg.straggler_severity, 1.0
-                )
-            if cfg.clock_skew > 0.0:
-                skew = 1.0 + cfg.clock_skew * _site_u01_vec(
-                    cfg.seed, _DOM_SKEW, sites
-                )
-                mult = (strag * skew).tolist()
-                skew = skew.tolist()
-            else:
-                skew = None
-                mult = strag.tolist()
-            strag = strag.tolist()
-            for j, i in enumerate(miss_idx):
-                slot = slot_list[i]
-                if strag_fired is not None and strag_fired[j]:
-                    self._record("straggler", strag[j], sm_slot=slot)
-                if skew is not None:
-                    self._record("clock_skew", skew[j], sm_slot=slot)
-                memo[slot] = mult[j]
-        return np.array([memo[s] for s in slot_list], dtype=np.float64)
+        slots = _site_ids(sm_slots)
+        cfg = self.config
+        mult = np.ones(slots.shape[0], dtype=np.float64)
+        draws = []
+        if cfg.straggler_prob > 0.0 and cfg.straggler_severity > 0.0:
+            fired = _site_u01_vec(cfg.seed, _DOM_STRAGGLER, slots) < cfg.straggler_prob
+            mult = np.where(fired, 1.0 + cfg.straggler_severity, 1.0)
+            draws.append(("straggler", fired, mult))
+        if cfg.clock_skew > 0.0:
+            skew = 1.0 + cfg.clock_skew * _site_u01_vec(cfg.seed, _DOM_SKEW, slots)
+            mult = mult * skew
+            draws.append(("clock_skew", None, skew))
+        self._log_fresh("slot", {"sm_slot": slots}, *draws)
+        return mult
 
     def preempt_penalties(self, ctas, segments, base_cycles) -> np.ndarray:
         """Vectorized preempt penalties for compute-segment sites.
 
         Pass only sites the scalar :meth:`segment_cycles` would draw
-        for — ``COMPUTE`` segments with positive base cycles.
+        for — ``COMPUTE`` segments with positive base cycles — each with
+        its own base cycles.
         """
-        ctas = np.ascontiguousarray(ctas, dtype=np.int64)
-        segments = np.ascontiguousarray(segments, dtype=np.int64)
+        ctas, segments = _site_ids(ctas), _site_ids(segments)
         base = np.ascontiguousarray(base_cycles, dtype=np.float64)
         cfg = self.config
         if cfg.preempt_prob <= 0.0:
             return np.zeros(ctas.shape[0], dtype=np.float64)
-        keys = list(zip(ctas.tolist(), segments.tolist()))
-        memo = self._seg_mult
-        miss_idx = _missing_first_occurrence(keys, memo)
-        if miss_idx:
-            idx = np.array(miss_idx, dtype=np.int64)
-            c, s, b = ctas[idx], segments[idx], base[idx]
-            fired = _site_u01_vec(cfg.seed, _DOM_PREEMPT, c, s)
-            fired = (fired < cfg.preempt_prob).tolist()
-            lost = _site_u01_vec(cfg.seed, _DOM_PREEMPT_FRAC, c, s)
-            penalty = np.where(
-                fired, cfg.preempt_penalty_cycles + lost * b, 0.0
-            ).tolist()
-            for j, i in enumerate(miss_idx):
-                key = keys[i]
-                if fired[j]:
-                    self._record(
-                        "preempt", penalty[j], cta=key[0], segment=key[1]
-                    )
-                memo[key] = penalty[j]
-        return np.array([memo[k] for k in keys], dtype=np.float64)
+        fired = _site_u01_vec(cfg.seed, _DOM_PREEMPT, ctas, segments) < cfg.preempt_prob
+        lost = _site_u01_vec(cfg.seed, _DOM_PREEMPT_FRAC, ctas, segments)
+        penalty = np.where(fired, cfg.preempt_penalty_cycles + lost * base, 0.0)
+        sites = {"cta": ctas, "segment": segments}
+        self._log_fresh("preempt", sites, ("preempt", fired, penalty))
+        return penalty
 
     def mem_latency_multipliers(self, ctas, segments) -> np.ndarray:
         """Vectorized mem jitter; pass only memory-kind segment sites."""
-        ctas = np.ascontiguousarray(ctas, dtype=np.int64)
-        segments = np.ascontiguousarray(segments, dtype=np.int64)
+        ctas, segments = _site_ids(ctas), _site_ids(segments)
         cfg = self.config
         if cfg.mem_jitter <= 0.0:
             return np.ones(ctas.shape[0], dtype=np.float64)
-        keys = list(zip(ctas.tolist(), segments.tolist()))
-        memo = self._mem_mult
-        miss_idx = _missing_first_occurrence(keys, memo)
-        if miss_idx:
-            idx = np.array(miss_idx, dtype=np.int64)
-            c, s = ctas[idx], segments[idx]
-            mult = 1.0 + cfg.mem_jitter * _site_u01_vec(
-                cfg.seed, _DOM_JITTER, c, s
-            )
-            mult = mult.tolist()
-            for j, i in enumerate(miss_idx):
-                key = keys[i]
-                self._record(
-                    "mem_jitter", mult[j], cta=key[0], segment=key[1]
-                )
-                memo[key] = mult[j]
-        return np.array([memo[k] for k in keys], dtype=np.float64)
+        u = _site_u01_vec(cfg.seed, _DOM_JITTER, ctas, segments)
+        mult = 1.0 + cfg.mem_jitter * u
+        sites = {"cta": ctas, "segment": segments}
+        self._log_fresh("mem", sites, ("mem_jitter", None, mult))
+        return mult
 
     def signal_delays(self, ctas) -> np.ndarray:
         """Vectorized :meth:`signal_delay` over an array of CTA ids."""
-        ctas = np.ascontiguousarray(ctas, dtype=np.int64)
+        ctas = _site_ids(ctas)
         cfg = self.config
         if cfg.signal_delay_prob <= 0.0 or cfg.signal_delay_cycles <= 0.0:
             return np.zeros(ctas.shape[0], dtype=np.float64)
-        cta_list = ctas.tolist()
-        memo = self._sig_delay
-        miss_idx = _missing_first_occurrence(cta_list, memo)
-        if miss_idx:
-            sites = ctas[np.array(miss_idx, dtype=np.int64)]
-            fired = _site_u01_vec(cfg.seed, _DOM_SIG_DELAY, sites)
-            fired = (fired < cfg.signal_delay_prob).tolist()
-            mag = cfg.signal_delay_cycles * (
-                0.5
-                + 0.5
-                * _site_u01_vec(
-                    cfg.seed,
-                    _DOM_SIG_DELAY,
-                    sites,
-                    np.ones(sites.shape[0], dtype=np.uint64),
-                )
-            )
-            delay = np.where(fired, mag, 0.0).tolist()
-            for j, i in enumerate(miss_idx):
-                cta = cta_list[i]
-                if fired[j]:
-                    self._record("signal_delay", delay[j], cta=cta)
-                memo[cta] = delay[j]
-        return np.array([memo[c] for c in cta_list], dtype=np.float64)
+        fired = _site_u01_vec(cfg.seed, _DOM_SIG_DELAY, ctas) < cfg.signal_delay_prob
+        ones = np.ones(ctas.shape[0], dtype=np.uint64)
+        u = _site_u01_vec(cfg.seed, _DOM_SIG_DELAY, ctas, ones)
+        delay = np.where(fired, cfg.signal_delay_cycles * (0.5 + 0.5 * u), 0.0)
+        self._log_fresh("delay", {"cta": ctas}, ("signal_delay", fired, delay))
+        return delay
 
     def signal_drops(self, ctas) -> np.ndarray:
         """Vectorized :meth:`signal_dropped` over an array of CTA ids."""
-        ctas = np.ascontiguousarray(ctas, dtype=np.int64)
+        ctas = _site_ids(ctas)
         cfg = self.config
         if cfg.signal_drop_prob <= 0.0:
             return np.zeros(ctas.shape[0], dtype=bool)
-        cta_list = ctas.tolist()
-        memo = self._sig_drop
-        miss_idx = _missing_first_occurrence(cta_list, memo)
-        if miss_idx:
-            sites = ctas[np.array(miss_idx, dtype=np.int64)]
-            dropped = _site_u01_vec(cfg.seed, _DOM_SIG_DROP, sites)
-            dropped = (dropped < cfg.signal_drop_prob).tolist()
-            for j, i in enumerate(miss_idx):
-                cta = cta_list[i]
-                if dropped[j]:
-                    self._record("signal_drop", 0.0, cta=cta)
-                memo[cta] = dropped[j]
-        return np.array([memo[c] for c in cta_list], dtype=bool)
+        dropped = _site_u01_vec(cfg.seed, _DOM_SIG_DROP, ctas) < cfg.signal_drop_prob
+        zeros = np.zeros(ctas.shape[0])
+        self._log_fresh("drop", {"cta": ctas}, ("signal_drop", dropped, zeros))
+        return dropped
 
     # ------------------------------------------------------------------ #
-    # Reporting                                                           #
+    # Drawn sites and the columnar log                                    #
     # ------------------------------------------------------------------ #
 
-    def _record(self, kind: str, value: float, **site) -> None:
-        self.log.append(InjectedFault(kind=kind, value=value, **site))
-        inc_counter("faults.%s" % kind)
+    def _fresh_site(self, dim: str, *ids: int) -> bool:
+        """Mark one site drawn; True when it had not been drawn before."""
+        if not all(0 <= i < _ID_LIMIT for i in ids):
+            raise ConfigurationError(_BAD_IDS)
+        key = ids[0] if len(ids) == 1 else (ids[0] << 32) | ids[1]
+        drawn = self._drawn[dim]
+        fresh = key not in drawn
+        drawn.add(key)
+        return fresh
+
+    def _log_fresh(self, dim: str, sites: dict, *draws) -> None:
+        """Log, as one chunk, the fired draws of the sites not drawn before.
+
+        Each draw is ``(kind, fired, values)`` over the rows of the
+        ``sites`` id columns (``fired`` None: every row fires).  A site
+        counts at its first row; entries go by row, then by draw, the
+        order the scalar path fires them in.
+        """
+        cols = list(sites.values())
+        keys = cols[0] if len(cols) == 1 else (cols[0] << 32) | cols[1]
+        drawn = self._drawn[dim]
+        uniq, fresh = np.unique(keys, return_index=True)
+        if drawn:
+            new = ~np.isin(uniq, np.fromiter(drawn, np.int64, len(drawn)))
+            uniq, fresh = uniq[new], fresh[new]
+        drawn.update(uniq.tolist())
+        fresh.sort()
+        rows = [fresh if f is None else fresh[f[fresh]] for _, f, _ in draws]
+        if not sum(r.size for r in rows):
+            return
+        kinds = tuple(kind for kind, _, _ in draws)
+        which = np.repeat(np.arange(len(draws)), [r.size for r in rows])
+        at = np.concatenate(rows)
+        order = (at * len(draws) + which).argsort(kind="stable")
+        at, which = at[order], which[order]
+        values = np.concatenate([v[r] for (_, _, v), r in zip(draws, rows)])
+        self._chunks.append(
+            (kinds, which, values[order], {f: c[at] for f, c in sites.items()})
+        )
+        # Bump the counters in the order the kinds first fired.
+        for j in dict.fromkeys(which.tolist()):
+            self._count(kinds[j], rows[j].size)
+
+    def _record(self, kind: str, value: float, **site: int) -> None:
+        self._chunks.append(((kind,), [0], [value], site))
+        self._count(kind, 1)
+
+    def _count(self, kind: str, n: int) -> None:
+        self._counts[kind] = self._counts.get(kind, 0) + n
+        inc_counter("faults.%s" % kind, n)
+
+    @property
+    def log(self) -> "list[InjectedFault]":
+        """Every fired injection in firing order, built on each read."""
+        out = []
+        for kinds, which, values, sites in self._chunks:
+            ids = zip(*(np.atleast_1d(c).tolist() for c in sites.values()))
+            for j, value, row in zip(which, np.asarray(values).tolist(), ids):
+                out.append(InjectedFault(kinds[j], value, **dict(zip(sites, row))))
+        return out
 
     def injection_counts(self) -> "dict[str, int]":
         """Fired-injection totals by kind (for sweep rows and reports)."""
-        counts: "dict[str, int]" = {}
-        for f in self.log:
-            counts[f.kind] = counts.get(f.kind, 0) + 1
-        return counts
+        return dict(self._counts)
+
+
+_BULK_METHODS = {
+    "slot_multiplier": "slot_multipliers",
+    "preempt_penalty": "preempt_penalties",
+    "mem_jitter": "mem_latency_multipliers",
+    "signal_delay": "signal_delays",
+    "signal_drop": "signal_drops",
+}

@@ -393,7 +393,8 @@ def _run_event_loop(arrays: TaskArrays, num_sm_slots: int, faults):
     No per-segment allocation: start/end times land in flat lists turned
     into the ArrayTrace's arrays at the end.  ``faults=None`` is the
     pristine run; otherwise injector queries happen in the oracle's
-    exact order, so even the injection *log order* matches.
+    exact order, so even the injection *log order* matches; only with
+    preemption configured is ``segment_cycles`` called per segment.
     """
     n = arrays.num_ctas
     S = arrays.num_segments
@@ -417,6 +418,10 @@ def _run_event_loop(arrays: TaskArrays, num_sm_slots: int, faults):
     free_slots = [(0.0, s) for s in range(num_sm_slots)]
     heapq.heapify(free_slots)
     inj = faults
+    # Without preemption ``segment_cycles`` is bitwise cycles times the
+    # slot multiplier, fetched once per slot where the oracle first asks.
+    priced = inj is not None and inj.config.preempt_prob > 0.0
+    slot_mult: "dict[int, float]" = {}
     parks = 0
     W, G = KIND_WAIT, KIND_SIGNAL
 
@@ -438,7 +443,7 @@ def _run_event_loop(arrays: TaskArrays, num_sm_slots: int, faults):
                     end = max(t, sig)
                 else:
                     c = cyc[j]
-                    if inj is not None:
+                    if priced:
                         c = inj.segment_cycles(
                             cta_ids[r],
                             j - seg_off[r],
@@ -446,6 +451,11 @@ def _run_event_loop(arrays: TaskArrays, num_sm_slots: int, faults):
                             c,
                             sm_slot[r],
                         )
+                    elif inj is not None:
+                        m = slot_mult.get(sm_slot[r])
+                        if m is None:
+                            m = slot_mult[sm_slot[r]] = inj.slot_multiplier(sm_slot[r])
+                        c *= m
                     end = t + c
                     if k == G:
                         slot = slots[j]

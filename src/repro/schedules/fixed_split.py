@@ -61,8 +61,8 @@ def fixed_split_schedule(grid: TileGrid, s: int) -> Schedule:
 
     items = []
     cta = 0
+    ranges = split_ranges(grid.iters_per_tile, s)
     for tile in range(grid.num_tiles):
-        ranges = split_ranges(grid.iters_per_tile, s)
         # Launch order within the tile: contributors (y = 1..s-1) first,
         # owner (y = 0, the k=0 slice) last — see module docstring.
         owner_cta = cta + (s - 1)

@@ -20,6 +20,8 @@ hybrids need to apply Stream-K to only the residual wave.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 from ..errors import ConfigurationError
 from ..gemm.linearize import TileTraversal
 from ..gemm.tiling import TileGrid
@@ -75,19 +77,16 @@ def partition_region(
 
     # Owner of region tile rt = the CTA whose range contains iteration
     # rt * ipt; contributors = every later CTA intersecting the tile.
-    # Ranges are contiguous and ascending, so both are range lookups.
-    def covering_ctas(rt: int) -> "list[int]":
-        lo, hi = rt * ipt, (rt + 1) * ipt
-        return [
-            x for x, (b, e) in enumerate(ranges) if b < hi and e > lo
-        ]
+    # Ranges are contiguous, ascending and non-empty, so the covering CTAs
+    # are one bisection each over the range begins.
+    begins = [b for b, _ in ranges]
 
     per_cta: "list[list[TileSegment]]" = [[] for _ in range(g)]
     for rt in range(num_region_tiles):
-        covering = covering_ctas(rt)
+        lo, hi = rt * ipt, (rt + 1) * ipt
+        covering = range(bisect_right(begins, lo) - 1, bisect_left(begins, hi))
         owner = covering[0]
         peers = tuple(covering[1:])
-        lo = rt * ipt
         for x in covering:
             b, e = ranges[x]
             begin = max(b, lo) - lo

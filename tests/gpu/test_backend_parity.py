@@ -11,6 +11,8 @@ both sides of the one-wave boundary
 is approximate: every assertion is ``==`` on floats.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,28 @@ class TestTraceParity:
                 assert_traces_identical(a, b, "chain/slots=%d" % slots)
                 if config:
                     assert oi.injection_counts() == fi.injection_counts()
+
+
+class TestInjectionLogParity:
+    """The numpy run logs the oracle's injections entry for entry, in order.
+
+    With preemption armed the event loop prices every timed segment
+    through ``segment_cycles``; without it, it fetches each slot's
+    multiplier once and multiplies — both must log what the oracle logs.
+    """
+
+    @pytest.mark.parametrize("preempt", [True, False], ids=["preempt", "plain"])
+    @pytest.mark.parametrize("name", DECOMPOSITION_NAMES)
+    def test_log_identical(self, name, preempt):
+        spec = GPU_PRESETS["a100"]
+        config = FAULTY if preempt else replace(FAULTY, preempt_prob=0.0)
+        schedule, cost = _build(name, spec, PROBLEMS[0])
+        slots = spec.total_cta_slots
+        oracle, oi, _ = _oracle_run(schedule, cost, slots, config)
+        fast, fi, _ = _array_run(schedule, cost, slots, config)
+        assert_traces_identical(oracle, fast, name)
+        assert oi.log and oi.log == fi.log
+        assert ("preempt" in oi.injection_counts()) == preempt
 
 
 class TestDeadlockParity:

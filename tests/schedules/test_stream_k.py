@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.gemm import FP64, Blocking, GemmProblem, TileGrid, random_operands, reference_gemm
-from repro.schedules import StreamK, partition_region, stream_k_schedule
+from repro.schedules import StreamK, partition_region, split_ranges, stream_k_schedule
+from repro.schedules.workitem import SegmentRole, TileSegment
 
 from tests.conftest import assert_schedule_correct
 
@@ -93,6 +94,51 @@ class TestPartitionRegion:
             partition_region(small_grid, 0, 0, 2)
         with pytest.raises(ConfigurationError):
             partition_region(small_grid, 10**9, 0, 2)
+
+
+def _scan_partition(grid, g, first_tile_pos, num_region_tiles):
+    """Reference partition: every CTA range is scanned for each tile."""
+    ipt = grid.iters_per_tile
+    ranges = split_ranges(num_region_tiles * ipt, g)
+    per_cta = [[] for _ in range(g)]
+    for rt in range(num_region_tiles):
+        lo, hi = rt * ipt, (rt + 1) * ipt
+        covering = [x for x, (b, e) in enumerate(ranges) if b < hi and e > lo]
+        peers = tuple(covering[1:])
+        for x in covering:
+            b, e = ranges[x]
+            owner = x == covering[0]
+            per_cta[x].append(
+                TileSegment(
+                    tile_idx=first_tile_pos + rt,
+                    iter_begin=max(b, lo) - lo,
+                    iter_end=min(e, hi) - lo,
+                    role=SegmentRole.OWNER if owner else SegmentRole.CONTRIBUTOR,
+                    peers=peers if owner else (),
+                )
+            )
+    return per_cta
+
+
+class TestPartitionRegionMatchesScan:
+    """Covering CTAs by bisection equal the brute-force range scan."""
+
+    @given(
+        tiles=st.integers(1, 24),
+        iters_per_tile=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_property_equals_scan(self, tiles, iters_per_tile, data):
+        grid = TileGrid(
+            GemmProblem(16 * tiles, 16, 8 * iters_per_tile, dtype=FP64),
+            Blocking(16, 16, 8),
+        )
+        first = data.draw(st.integers(0, tiles - 1), label="first_tile_pos")
+        count = data.draw(st.integers(1, tiles - first), label="num_tiles")
+        g = data.draw(st.integers(1, count * iters_per_tile), label="g")
+        assert partition_region(grid, g, first, count) == _scan_partition(
+            grid, g, first, count
+        )
 
 
 class TestNumerics:
