@@ -492,7 +492,7 @@ def _cmd_plan(args) -> int:
     print("aligned iters  : %s" % format_utilization(plan.k_aligned_fraction, decimals=0))
     print("fixup exchanges: %d" % plan.fixup_stores)
     print("predicted time : %.1f us (%.1f TFLOP/s)"
-          % (lib.time_s(problem) * 1e6, lib.tflops(problem)))
+          % (plan.time_s * 1e6, problem.flops / plan.time_s / 1e12))
     return 0
 
 

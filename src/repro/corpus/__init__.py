@@ -12,7 +12,6 @@ from .generator import (
     generate_corpus,
 )
 from .shapes import (
-    conv_im2col_shapes,
     factorization_shapes,
     strong_scaling_shapes,
     transformer_shapes,
@@ -25,7 +24,6 @@ __all__ = [
     "PAPER_DOMAIN",
     "PAPER_SEED",
     "compute_bound_mask",
-    "conv_im2col_shapes",
     "corpus_problems",
     "factorization_shapes",
     "generate_corpus",

@@ -1,7 +1,7 @@
 """Named workload shapes for the examples and ablations.
 
 The paper's introduction motivates GEMM via deep-learning workloads
-(transformers, convolution-as-GEMM) and scientific factorizations.  These
+(transformers) and scientific factorizations.  These
 are representative concrete geometries used by the example applications —
 not part of the evaluation corpus, which is the log-sampled Figure 4 set.
 """
@@ -13,7 +13,6 @@ from ..gemm.problem import GemmProblem
 
 __all__ = [
     "transformer_shapes",
-    "conv_im2col_shapes",
     "factorization_shapes",
     "strong_scaling_shapes",
 ]
@@ -43,23 +42,6 @@ def transformer_shapes(
         "attn_values": GemmProblem(
             batch_tokens, d_head, batch_tokens // heads, dtype=dtype
         ),
-    }
-
-
-def conv_im2col_shapes(
-    batch: int = 32,
-    image_hw: int = 56,
-    c_in: int = 256,
-    c_out: int = 256,
-    kernel_hw: int = 3,
-    dtype: DtypeConfig = FP16_FP32,
-) -> "dict[str, GemmProblem]":
-    """Convolution lowered to GEMM by im2col (the cuDNN-style mapping)."""
-    m = batch * image_hw * image_hw
-    k = c_in * kernel_hw * kernel_hw
-    return {
-        "conv3x3": GemmProblem(m, c_out, k, dtype=dtype),
-        "conv1x1": GemmProblem(m, c_out, c_in, dtype=dtype),
     }
 
 

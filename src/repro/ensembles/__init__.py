@@ -18,7 +18,7 @@ from .heuristics import ProxyScore, heuristic_select, proxy_score
 from .kernels import KernelVariant, variant_time_s
 from .oracle import OracleChoice, oracle_select
 from .streamk_duo import DuoChoice, StreamKDuoLibrary, small_blocking_for
-from .streamk_library import StreamKLibrary, StreamKPlan
+from .streamk_library import StreamKLibrary
 
 __all__ = [
     "AdaptiveReplayConfig",
@@ -37,7 +37,6 @@ __all__ = [
     "DuoChoice",
     "StreamKDuoLibrary",
     "StreamKLibrary",
-    "StreamKPlan",
     "cublas_select",
     "cublas_variants",
     "heuristic_select",

@@ -25,8 +25,9 @@ from ..gemm.dtypes import DtypeConfig
 from ..gemm.problem import GemmProblem
 from ..gemm.tiling import Blocking
 from ..gpu.spec import GpuSpec
+from ..plan.core import Plan
 from .cutlass import ORACLE_BLOCKINGS
-from .streamk_library import StreamKLibrary, StreamKPlan
+from .streamk_library import StreamKLibrary
 
 __all__ = ["StreamKDuoLibrary", "small_blocking_for"]
 
@@ -47,7 +48,7 @@ class DuoChoice:
     """Which of the two kernels the intensity rule dispatched."""
 
     kernel: str  # "big" | "small"
-    plan: StreamKPlan
+    plan: Plan
     time_s: float
 
 
@@ -81,9 +82,8 @@ class StreamKDuoLibrary:
     def plan(self, problem: GemmProblem) -> DuoChoice:
         kernel = self.choose(problem)
         lib = self.big if kernel == "big" else self.small
-        return DuoChoice(
-            kernel=kernel, plan=lib.plan(problem), time_s=lib.time_s(problem)
-        )
+        plan = lib.plan(problem)
+        return DuoChoice(kernel=kernel, plan=plan, time_s=plan.time_s)
 
     def time_s(self, problem: GemmProblem) -> float:
         lib = self.big if self.choose(problem) == "big" else self.small

@@ -6,7 +6,10 @@ launch by the analytical grid-size model whose four constants were
 calibrated once per architecture.  Contrast with
 :mod:`repro.ensembles.cublas`'s ~24 kernels + trained selection heuristics.
 
-Planning regimes (mirroring :func:`repro.schedules.hybrid.two_tile_schedule`):
+The library prices nothing itself: :meth:`StreamKLibrary.plan` is
+:func:`repro.plan.core.plan_query` at the library's constants and
+blocking, and its makespan and time are that plan's fields.  The regimes
+are the planner's (mirroring :func:`repro.schedules.hybrid.two_tile_schedule`):
 
 ==============================  ========================================
 tiles % p == 0                  pure data-parallel waves (``g = min(p,t)``)
@@ -17,41 +20,19 @@ otherwise                       two-tile Stream-K + DP hybrid, ``g = p``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from ..gemm.dtypes import DtypeConfig
 from ..gemm.problem import GemmProblem
 from ..gemm.tiling import Blocking, TileGrid
-from ..gpu.analytic import (
-    basic_streamk_makespan,
-    persistent_dp_makespan,
-    two_tile_hybrid_makespan,
-)
 from ..gpu.costmodel import KernelCostModel
-from ..gpu.memory import AnalyticalMemoryModel, TrafficBreakdown
 from ..gpu.spec import GpuSpec
 from ..model.cost import StreamKModelParams
 from ..model.paramcache import calibrate_cached
 from ..obs.profiler import profiled
-from ..plan.core import plan_query
+from ..plan.core import Plan, plan_query
 from ..schedules.base import Schedule
 from ..schedules.hybrid import two_tile_schedule
 
-__all__ = ["StreamKPlan", "StreamKLibrary"]
-
-
-@dataclass(frozen=True)
-class StreamKPlan:
-    """Launch plan for one problem: regime, grid size, traffic profile."""
-
-    kind: str  # "data_parallel" | "basic_stream_k" | "two_tile"
-    g: int
-    num_tiles: int
-    iters_per_tile: int
-    k_aligned_fraction: float
-    fixup_stores: int
+__all__ = ["StreamKLibrary"]
 
 
 class StreamKLibrary:
@@ -79,20 +60,17 @@ class StreamKLibrary:
             gpu, self.blocking, dtype
         )
 
-    # ------------------------------------------------------------------ #
-    # Planning                                                            #
-    # ------------------------------------------------------------------ #
-
     @profiled("streamk_plan")
-    def plan(self, problem: GemmProblem) -> StreamKPlan:
+    def plan(self, problem: GemmProblem) -> Plan:
         """Pure-arithmetic launch plan (no schedule materialization).
 
-        Delegates to the planning layer's :func:`repro.plan.core.plan_query`
-        — the same one-row :func:`~repro.plan.core.plan_batch` the serving
-        daemon and the corpus engine run — so a library plan, a served
-        plan, and a corpus-sweep row can never disagree.
+        The planning layer's :func:`repro.plan.core.plan_query` — the same
+        one-row :func:`~repro.plan.core.plan_batch` the serving daemon and
+        the corpus engine run — so a library plan, a served plan and a
+        corpus-sweep row are bitwise equal.  Like every plan it prices
+        ``alpha = 1, beta = 0``.
         """
-        decision = plan_query(
+        return plan_query(
             problem.m,
             problem.n,
             problem.k,
@@ -100,14 +78,6 @@ class StreamKLibrary:
             self.gpu,
             params=self.params,
             blocking=self.blocking,
-        )
-        return StreamKPlan(
-            kind=decision.kind,
-            g=decision.g,
-            num_tiles=decision.num_tiles,
-            iters_per_tile=decision.iters_per_tile,
-            k_aligned_fraction=decision.k_aligned_fraction,
-            fixup_stores=decision.fixup_stores,
         )
 
     @profiled("streamk_build_schedule")
@@ -118,57 +88,13 @@ class StreamKLibrary:
         g_small = plan.g if plan.kind == "basic_stream_k" else None
         return two_tile_schedule(grid, self.gpu.num_sms, g_small=g_small)
 
-    # ------------------------------------------------------------------ #
-    # Timing (closed-form corpus path)                                    #
-    # ------------------------------------------------------------------ #
-
     def makespan_cycles(self, problem: GemmProblem) -> float:
-        grid = TileGrid(problem, self.blocking)
-        t, ipt, p = grid.num_tiles, grid.iters_per_tile, self.gpu.num_sms
-        plan = self.plan(problem)
-        if plan.kind == "data_parallel":
-            return persistent_dp_makespan(t, p, ipt, self.cost)
-        if plan.kind == "basic_stream_k":
-            return basic_streamk_makespan(t, plan.g, ipt, self.cost)
-        return two_tile_hybrid_makespan(t, p, ipt, self.cost)
-
-    def traffic(self, problem: GemmProblem) -> TrafficBreakdown:
-        grid = TileGrid(problem, self.blocking)
-        plan = self.plan(problem)
-        facade = _PlanFacade(grid, plan)
-        return AnalyticalMemoryModel().traffic(facade, self.gpu, self.cost)
+        """The plan's compute makespan in cycles."""
+        return self.plan(problem).makespan_cycles
 
     def time_s(self, problem: GemmProblem) -> float:
-        """Roofline-composed kernel time for one problem."""
-        plan = self.plan(problem)
-        compute = self.makespan_cycles(problem) / self.gpu.clock_hz
-        memory = self.traffic(problem).total / float(
-            self.gpu.achieved_bandwidth(plan.g)
-        )
-        return max(compute, memory) + self.gpu.launch_latency_s
+        """The plan's roofline-composed kernel time."""
+        return self.plan(problem).time_s
 
     def tflops(self, problem: GemmProblem) -> float:
         return problem.flops / self.time_s(problem) / 1e12
-
-
-class _PlanFacade:
-    """Duck-typed Schedule stand-in for the analytical memory model."""
-
-    def __init__(self, grid: TileGrid, plan: StreamKPlan):
-        self.grid = grid
-        self.g = plan.g
-        self.k_aligned_fraction = plan.k_aligned_fraction
-        self.total_fixup_stores = plan.fixup_stores
-
-
-def _region_fixup_profile(
-    region_iters: int, g: int, ipt: int
-) -> "tuple[int, bool]":
-    """(#CTAs that store partials, whether all shares are tile-aligned)
-    for a balanced partition of ``region_iters`` among ``g`` CTAs."""
-    g = min(g, region_iters)
-    base, rem = divmod(region_iters, g)
-    boundaries = np.arange(1, g, dtype=np.int64)
-    begins = boundaries * base + np.minimum(boundaries, rem)
-    misaligned = int(np.count_nonzero(begins % ipt))
-    return misaligned, misaligned == 0

@@ -20,14 +20,13 @@ from .analytic import (
     basic_streamk_makespan_batch,
     data_parallel_makespan,
     dp_one_tile_hybrid_makespan,
-    dp_one_tile_hybrid_makespan_batch,
     fixed_split_makespan,
     fixed_split_makespan_batch,
     one_wave_makespan,
     persistent_dp_makespan,
     persistent_dp_makespan_batch,
     two_tile_hybrid_makespan,
-    two_tile_hybrid_makespan_batch,
+    two_tile_walk_batch,
 )
 from .backends import (
     EXECUTOR_BACKENDS,
@@ -37,7 +36,7 @@ from .backends import (
     set_default_executor,
     tasks_to_arrays,
 )
-from .cache import CacheStats, FragmentCache, SetAssociativeCache
+from .cache import CacheStats, FragmentCache
 from .costmodel import KernelCostModel
 from .cta import CtaTask, SegmentKind, TimedSegment
 from .executor import Executor, execute_tasks
@@ -89,7 +88,6 @@ __all__ = [
     "KernelResult",
     "SegmentKind",
     "SegmentRecord",
-    "SetAssociativeCache",
     "TaskArrays",
     "TimedSegment",
     "TrafficBreakdown",
@@ -99,10 +97,9 @@ __all__ = [
     "data_parallel_makespan",
     "default_gpu",
     "dp_one_tile_hybrid_makespan",
-    "dp_one_tile_hybrid_makespan_batch",
     "fixed_split_makespan_batch",
     "persistent_dp_makespan_batch",
-    "two_tile_hybrid_makespan_batch",
+    "two_tile_walk_batch",
     "estimate_occupancy",
     "execute_tasks",
     "fixed_split_makespan",

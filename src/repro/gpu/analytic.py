@@ -12,9 +12,13 @@ first rule: vectorize the hot path).  This module provides:
 * **approximate** closed forms for multi-wave fixed-split grids, documented
   and bounded by tests against the executor.
 
-All functions work on plain scalar arithmetic so
-:mod:`repro.harness.vectorized` can re-express them over numpy arrays
-unchanged.
+The scalar forms are the references the executor tests pin.  The
+``*_batch`` forms are their numpy twins over N problems, and they are
+what prices a corpus: :func:`repro.plan.core.plan_batch` builds its
+three Stream-K regimes from :func:`persistent_dp_makespan_batch`,
+:func:`basic_streamk_makespan_batch` and :func:`two_tile_walk_batch`,
+and :mod:`repro.harness.vectorized` prices fixed-split with
+:func:`fixed_split_makespan_batch`.
 """
 
 from __future__ import annotations
@@ -34,9 +38,8 @@ __all__ = [
     "fixed_split_makespan_batch",
     "one_wave_makespan",
     "two_tile_hybrid_makespan",
-    "two_tile_hybrid_makespan_batch",
+    "two_tile_walk_batch",
     "dp_one_tile_hybrid_makespan",
-    "dp_one_tile_hybrid_makespan_batch",
     "basic_streamk_makespan",
     "basic_streamk_makespan_batch",
 ]
@@ -516,107 +519,80 @@ def fixed_split_makespan_batch(
     )
 
 
-def dp_one_tile_hybrid_makespan_batch(
-    t: np.ndarray, p: int, ipt: np.ndarray, cost: KernelCostModel
-) -> np.ndarray:
-    """Vectorized :func:`dp_one_tile_hybrid_makespan` over N problems."""
-    t, ipt = _validated_batch(t, ipt)
-    if p <= 0:
-        raise ConfigurationError("p must be positive, got %d" % p)
-    if t.size == 0:
-        return np.empty(0, dtype=np.float64)
-    out = np.empty(t.shape[0], dtype=np.float64)
-    w = t // p
-    r = t - w * p
-    mask_dp = r == 0
-    if mask_dp.any():
-        out[mask_dp] = persistent_dp_makespan_batch(
-            t[mask_dp], p, ipt[mask_dp], cost
-        )
-    mask_sk = ~mask_dp
-    if mask_sk.any():
-        c = cost.cycles_per_iter
-        st = cost.store_tile_cycles
-        r_sk, ipt_sk = r[mask_sk], ipt[mask_sk]
-        dp_prefix = w[mask_sk] * (c * ipt_sk + st)
-        g = np.minimum(p, r_sk * ipt_sk)
-        out[mask_sk] = dp_prefix + basic_streamk_makespan_batch(
-            r_sk, g, ipt_sk, cost
-        )
-    return out
-
-
-def two_tile_hybrid_makespan_batch(
+def two_tile_walk_batch(
     t: np.ndarray,
     p: int,
     ipt: np.ndarray,
     cost: KernelCostModel,
     row_chunk: int = _BATCH_ROW_CHUNK,
-) -> np.ndarray:
-    """Vectorized :func:`two_tile_hybrid_makespan` over N problems.
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Vectorized two-tile walk of :func:`two_tile_hybrid_makespan` over
+    N problems in its main regime (``t >= p``, ``t % p != 0``).
 
-    Splits the rows into the scalar form's three regimes (perfect
-    quantization, fewer tiles than SMs, main two-tile walk) and solves
-    each with the matching batched machinery; the main-regime walk
-    broadcasts the scalar per-CTA timeline over ``(rows, p)`` chunks.
+    Returns ``(makespan, aligned_fraction, stores)``: the exact makespan,
+    the fraction of MAC iterations on data-parallel tiles, and the number
+    of CTAs whose range starts mid-tile (each stores one partial sum).
+    Broadcasts the scalar per-CTA timeline over a (rows, p) grid, one
+    fixed-size row chunk at a time (the transient (rows, p+1) boundary
+    matrix is the largest allocation in the corpus engine): head
+    contribution, fully-owned tiles, the at-most-one-peer fixup, then the
+    ``w - 1`` data-parallel tiles.
     """
-    t, ipt = _validated_batch(t, ipt)
+    t = np.asarray(t, dtype=np.int64)
+    ipt = np.asarray(ipt, dtype=np.int64)
+    if t.shape != ipt.shape or t.ndim != 1:
+        raise ConfigurationError("t and ipt must be equal-length 1-D arrays")
     if p <= 0:
         raise ConfigurationError("p must be positive, got %d" % p)
-    if t.size == 0:
-        return np.empty(0, dtype=np.float64)
-    out = np.empty(t.shape[0], dtype=np.float64)
-    mask_dp = t % p == 0
-    if mask_dp.any():
-        out[mask_dp] = persistent_dp_makespan_batch(
-            t[mask_dp], p, ipt[mask_dp], cost
+    # One pass of reductions: this runs on every one-row plan_query.
+    if t.size and (t.min() < p or (t % p).min() == 0 or ipt.min() <= 0):
+        raise ConfigurationError(
+            "two_tile_walk_batch needs t >= p, t %% p != 0 and ipt > 0 "
+            "(p=%d)" % p
         )
-    mask_sk = (~mask_dp) & (t < p)
-    if mask_sk.any():
-        g = np.full(int(mask_sk.sum()), p, dtype=np.int64)
-        out[mask_sk] = basic_streamk_makespan_batch(
-            t[mask_sk], g, ipt[mask_sk], cost
+    n = t.shape[0]
+    makespan = np.empty(n, dtype=np.float64)
+    aligned_fraction = np.empty(n, dtype=np.float64)
+    stores = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, max(1, row_chunk)):
+        sl = slice(lo, min(lo + max(1, row_chunk), n))
+        makespan[sl], aligned_fraction[sl], stores[sl] = _two_tile_walk_chunk(
+            t[sl], ipt[sl], p, cost
         )
-    mask_walk = (~mask_dp) & (t >= p)
-    if mask_walk.any():
-        t_w, ipt_w = t[mask_walk], ipt[mask_walk]
-        res = np.empty(t_w.shape[0], dtype=np.float64)
-        for lo in range(0, t_w.shape[0], max(1, row_chunk)):
-            sl = slice(lo, min(lo + max(1, row_chunk), t_w.shape[0]))
-            res[sl] = _two_tile_chunk(t_w[sl], ipt_w[sl], p, cost)
-        out[mask_walk] = res
-    return out
+    return makespan, aligned_fraction, stores
 
 
-def _two_tile_chunk(
+def _two_tile_walk_chunk(
     t: np.ndarray, ipt: np.ndarray, p: int, cost: KernelCostModel
-) -> np.ndarray:
-    """One row chunk of the two-tile main-regime walk (``w >= 1``,
-    ``t % p != 0``): the scalar per-CTA timeline over a (rows, p) grid."""
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """One row chunk of :func:`two_tile_walk_batch`."""
     c = cost.cycles_per_iter
     pro = cost.prologue_cycles
     sp = cost.store_partials_cycles
     fx = cost.fixup_cycles_per_peer
     st = cost.store_tile_cycles
 
+    # Geometry is bounded by t * ipt; int32 halves memory traffic and
+    # speeds the hot div/mod ops on the (rows, p) matrices when safe.
     geo = (
         np.int32
         if int(t.max()) * int(ipt.max()) < np.iinfo(np.int32).max
         else np.int64
     )
-    t2 = t[:, None].astype(geo)
+    t = t[:, None].astype(geo)
     ipt_c = ipt[:, None].astype(geo)
-    w = t2 // geo(p)
-    sk_tiles = t2 - (w - 1) * geo(p)
+    w = t // geo(p)
+    sk_tiles = t - (w - 1) * geo(p)
     region = sk_tiles * ipt_c
     base, rem = np.divmod(region, geo(p))
     x = np.arange(p + 1, dtype=geo)[None, :]
-    begins = x * base + np.minimum(x, rem)
+    begins = x * base + np.minimum(x, rem)  # (rows, p+1) range boundaries
     heads_all = (-begins) % ipt_c
+    b_misaligned = heads_all[:, 1:-1]  # interior boundaries off tile edges
     head = heads_all[:, :-1]
-    head_next = heads_all[:, 1:]
+    head_next = heads_all[:, 1:]  # == head of CTA x+1 (or 0 at region end)
     share = begins[:, 1:] - begins[:, :-1]
-    # Every share >= ipt in this regime, so b + head is tile-aligned and
+    # In this regime every share >= ipt, so b + head is tile-aligned and
     # the owned-tile count reduces to one integer division.
     last_part = np.where(head_next != 0, ipt_c - head_next, 0)
     fully = (share - head - last_part) // ipt_c
@@ -629,4 +605,9 @@ def _two_tile_chunk(
         last_part > 0, np.maximum(own_end, peer_signal) + fx + st, own_end
     )
     finish = now + (w - 1) * (c * ipt_c + st)
-    return finish.max(axis=1)
+    makespan = finish.max(axis=1)
+
+    total = (t * ipt_c).astype(np.float64)
+    aligned_fraction = ((t - sk_tiles) * ipt_c) / total
+    stores = np.count_nonzero(b_misaligned, axis=1)
+    return makespan, aligned_fraction.ravel(), stores

@@ -1,17 +1,12 @@
-"""Cache simulators for DRAM-traffic measurement.
+"""The L2 cache simulator for DRAM-traffic measurement.
 
-Two granularities:
-
-* :class:`SetAssociativeCache` — a classic line-granular set-associative
-  LRU cache, the general substrate.
-* :class:`FragmentCache` — a fully-associative LRU over variable-sized
-  *fragments* (the ``BLK_M x BLK_K`` / ``BLK_K x BLK_N`` staging blocks GEMM
-  kernels actually stream), which is the granularity the L2 reuse argument
-  of Section 5.2 is about.  Backed by an ordered dict; capacity is enforced
-  in bytes.
-
-Both report hit/miss byte counts; the memory models convert misses into
-DRAM traffic.
+:class:`FragmentCache` is a fully-associative LRU over variable-sized
+*fragments* (the ``BLK_M x BLK_K`` / ``BLK_K x BLK_N`` staging blocks GEMM
+kernels actually stream), which is the granularity the L2 reuse argument
+of Section 5.2 is about.  Backed by an ordered dict; capacity is enforced
+in bytes.  It reports hit/miss byte counts; the cache-replay memory model
+(:class:`repro.gpu.memory.CacheSimMemoryModel`) converts misses into DRAM
+traffic.
 """
 
 from __future__ import annotations
@@ -19,12 +14,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import ConfigurationError
 from ..obs.counters import inc_counter
 
-__all__ = ["SetAssociativeCache", "FragmentCache", "CacheStats"]
+__all__ = ["FragmentCache", "CacheStats"]
 
 
 @dataclass
@@ -61,84 +54,6 @@ class CacheStats:
         inc_counter(prefix + ".miss", self.misses)
         inc_counter(prefix + ".hit_bytes", self.hit_bytes)
         inc_counter(prefix + ".miss_bytes", self.miss_bytes)
-
-
-class SetAssociativeCache:
-    """Line-granular set-associative LRU cache over a flat address space.
-
-    The tag store is a pair of dense ``(num_sets, ways)`` arrays — line tags
-    (−1 = invalid) and monotonically increasing recency stamps — so a whole
-    run of consecutive lines is resolved with vectorized numpy set lookups
-    instead of per-line dict operations.  Within one :meth:`access` the
-    touched lines are consecutive, so any window of ≤ ``num_sets`` lines maps
-    to pairwise-distinct sets and can be processed as a single batch without
-    read-after-write hazards; the per-line sequential LRU semantics of the
-    classic OrderedDict implementation are preserved exactly (unique stamps
-    in line order reproduce its recency ordering, and invalid ways carry
-    stamp −1 so they are always victimized first).
-    """
-
-    def __init__(self, capacity_bytes: int, line_bytes: int, ways: int = 16):
-        if capacity_bytes <= 0 or line_bytes <= 0 or ways <= 0:
-            raise ConfigurationError("cache geometry must be positive")
-        lines = capacity_bytes // line_bytes
-        if lines < ways:
-            raise ConfigurationError(
-                "capacity %d holds %d lines < %d ways"
-                % (capacity_bytes, lines, ways)
-            )
-        self.line_bytes = line_bytes
-        self.ways = ways
-        self.num_sets = max(1, lines // ways)
-        self._tags = np.full((self.num_sets, ways), -1, dtype=np.int64)
-        self._stamps = np.full((self.num_sets, ways), -1, dtype=np.int64)
-        self._clock = 0
-        self.stats = CacheStats()
-
-    def access(self, addr: int, size: int) -> int:
-        """Touch [addr, addr + size); return bytes missed (DRAM-fetched)."""
-        if size <= 0:
-            return 0
-        first = addr // self.line_bytes
-        last = (addr + size - 1) // self.line_bytes
-        n = last - first + 1
-        missed_lines = 0
-        # Consecutive lines hit consecutive sets (mod num_sets), so any
-        # window of <= num_sets lines touches pairwise-distinct sets and is
-        # safe to resolve as one vectorized batch.
-        for lo in range(first, last + 1, self.num_sets):
-            batch = min(self.num_sets, last + 1 - lo)
-            missed_lines += self._access_batch(lo, batch)
-        self.stats.accesses += n
-        hits = n - missed_lines
-        self.stats.hits += hits
-        self.stats.hit_bytes += hits * self.line_bytes
-        self.stats.miss_bytes += missed_lines * self.line_bytes
-        return missed_lines * self.line_bytes
-
-    def _access_batch(self, first_line: int, n: int) -> int:
-        """Touch ``n`` consecutive lines mapping to distinct sets; return the
-        number of missed lines."""
-        lines = np.arange(first_line, first_line + n, dtype=np.int64)
-        sets = lines % self.num_sets
-        tag_rows = self._tags[sets]  # (n, ways) gather
-        way_hit = tag_rows == lines[:, None]
-        hit = way_hit.any(axis=1)
-        stamps = np.arange(self._clock, self._clock + n, dtype=np.int64)
-        self._clock += n
-        # Invalid ways carry stamp -1, so argmin picks (in order): the first
-        # free way if any, else the least recently used one -- exactly the
-        # OrderedDict fill-then-evict policy.
-        victim = np.argmin(self._stamps[sets], axis=1)
-        way = np.where(hit, np.argmax(way_hit, axis=1), victim)
-        self._tags[sets, way] = lines
-        self._stamps[sets, way] = stamps
-        return int(n - np.count_nonzero(hit))
-
-    def flush(self) -> None:
-        self._tags.fill(-1)
-        self._stamps.fill(-1)
-        self._clock = 0
 
 
 class FragmentCache:

@@ -1,9 +1,10 @@
 """Vectorized corpus evaluation: every system over 32,824 shapes in seconds.
 
 This module is the **evaluate** side of the repo's plan/evaluate split:
-the pure planning arithmetic (regime choice, grid-size argmin, two-tile
-walk, memory roofline) lives in :mod:`repro.plan.core`, and this engine
-*consumes* it — :func:`streamk_times` is now a thin wrapper over
+the pure planning arithmetic (regime choice, grid-size argmin, memory
+roofline over the :mod:`repro.gpu.analytic` makespans) lives in
+:mod:`repro.plan.core`, and this engine *consumes* it —
+:func:`streamk_times` is a thin wrapper over
 :func:`repro.plan.core.plan_batch`, so corpus sweeps, cross-hardware
 comparisons, and the serving daemon all price Stream-K through the exact
 same batched code path.
@@ -45,7 +46,6 @@ from ..gpu.analytic import fixed_split_makespan_batch
 from ..gpu.costmodel import KernelCostModel
 from ..gpu.spec import GpuSpec
 from ..model.cost import StreamKModelParams
-from ..model.paramcache import calibrate_cached
 from ..obs.profiler import span
 from ..plan.core import (
     _ceil_div,
@@ -56,13 +56,6 @@ from ..plan.core import (
 )
 
 __all__ = ["SystemTimings", "evaluate_corpus", "streamk_times", "dp_times", "fixed_split_times"]
-
-
-def _cached_params(
-    gpu: GpuSpec, blocking: Blocking, dtype: DtypeConfig
-) -> StreamKModelParams:
-    """Calibrated constants via the persistent two-level cache."""
-    return calibrate_cached(gpu, blocking, dtype)
 
 
 # --------------------------------------------------------------------- #

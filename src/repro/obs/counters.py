@@ -21,7 +21,6 @@ and ``a.c``):
 ``executor.spin_waits|signals``         flag-protocol events
 ``l2sim.fragment.hit|miss``             FragmentCache replay outcomes
 ``l2sim.fragment.hit_bytes|miss_bytes`` ...and their byte volumes
-``l2sim.line.hit|miss`` (etc.)          SetAssociativeCache, when published
 ``journal.replayed``                    WAL records replayed on resume
 ``journal.skipped_shards``              digest-verified shards not re-run
 ``journal.torn_tail_truncated``         torn WAL tails dropped on replay

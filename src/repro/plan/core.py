@@ -20,8 +20,11 @@ one-row :func:`plan_batch`, so a single query, a micro-batched service
 request, and a 32,824-shape corpus sweep all run the *same* arithmetic
 and produce bitwise-identical plans.
 
-The regime logic (mirroring :meth:`repro.ensembles.streamk_library.
-StreamKLibrary.plan` and :func:`repro.schedules.hybrid.two_tile_schedule`):
+:meth:`repro.ensembles.streamk_library.StreamKLibrary.plan` returns a
+:func:`plan_query` record, and the library's makespan and time read that
+record, so the library, the daemon and a corpus row price a shape alike.
+
+The regime logic (mirroring :func:`repro.schedules.hybrid.two_tile_schedule`):
 
 ==============================  ========================================
 tiles % p == 0                  pure data-parallel waves (``g = min(p,t)``)
@@ -39,7 +42,11 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..gemm.dtypes import DtypeConfig, get_dtype_config
 from ..gemm.tiling import Blocking
-from ..gpu.analytic import basic_streamk_makespan_batch
+from ..gpu.analytic import (
+    basic_streamk_makespan_batch,
+    persistent_dp_makespan_batch,
+    two_tile_walk_batch,
+)
 from ..gpu.costmodel import KernelCostModel
 from ..gpu.spec import GpuSpec
 from ..model.cost import StreamKModelParams
@@ -311,88 +318,8 @@ def roofline_time(
 
 
 # --------------------------------------------------------------------- #
-# Two-tile exact walk (Regime C)                                        #
+# Regime-B boundary profile                                             #
 # --------------------------------------------------------------------- #
-
-
-def _two_tile_walk(
-    t: np.ndarray,
-    ipt: np.ndarray,
-    p: int,
-    cost: KernelCostModel,
-    row_chunk: int = _WALK_ROW_CHUNK,
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """Vectorized exact two-tile-hybrid makespan for the ``w >= 1,
-    t % p != 0`` regime.  Returns (makespan, aligned_fraction, stores).
-
-    Broadcasts the per-CTA timeline of
-    :func:`repro.gpu.analytic.two_tile_hybrid_makespan` over a (rows, p)
-    grid, one fixed-size row chunk at a time (the transient (rows, p+1)
-    boundary matrix is the largest allocation in the corpus engine): head
-    contribution, fully-owned tiles, the at-most-one-peer fixup, then the
-    ``w - 1`` data-parallel tiles.
-    """
-    n = t.shape[0]
-    makespan = np.empty(n, dtype=np.float64)
-    aligned_fraction = np.empty(n, dtype=np.float64)
-    stores = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, max(1, row_chunk)):
-        sl = slice(lo, min(lo + max(1, row_chunk), n))
-        makespan[sl], aligned_fraction[sl], stores[sl] = _two_tile_walk_chunk(
-            t[sl], ipt[sl], p, cost
-        )
-    return makespan, aligned_fraction, stores
-
-
-def _two_tile_walk_chunk(
-    t: np.ndarray, ipt: np.ndarray, p: int, cost: KernelCostModel
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """One row chunk of :func:`_two_tile_walk`."""
-    c = cost.cycles_per_iter
-    pro = cost.prologue_cycles
-    sp = cost.store_partials_cycles
-    fx = cost.fixup_cycles_per_peer
-    st = cost.store_tile_cycles
-
-    # Geometry is bounded by t * ipt; int32 halves memory traffic and
-    # speeds the hot div/mod ops on the (rows, p) matrices when safe.
-    geo = (
-        np.int32
-        if int(t.max()) * int(ipt.max()) < np.iinfo(np.int32).max
-        else np.int64
-    )
-    t = t[:, None].astype(geo)
-    ipt_c = ipt[:, None].astype(geo)
-    w = t // geo(p)
-    sk_tiles = t - (w - 1) * geo(p)
-    region = sk_tiles * ipt_c
-    base, rem = np.divmod(region, geo(p))
-    x = np.arange(p + 1, dtype=geo)[None, :]
-    begins = x * base + np.minimum(x, rem)  # (rows, p+1) range boundaries
-    heads_all = (-begins) % ipt_c
-    b_misaligned = heads_all[:, 1:-1]  # interior boundaries off tile edges
-    head = heads_all[:, :-1]
-    head_next = heads_all[:, 1:]  # == head of CTA x+1 (or 0 at region end)
-    share = begins[:, 1:] - begins[:, :-1]
-    # In this regime every share >= ipt, so b + head is tile-aligned and
-    # the owned-tile count reduces to one integer division.
-    last_part = np.where(head_next != 0, ipt_c - head_next, 0)
-    fully = (share - head - last_part) // ipt_c
-
-    now = pro + np.where(head > 0, c * head + sp, 0.0)
-    now = now + fully * (c * ipt_c + st)
-    own_end = now + np.where(last_part > 0, c * last_part, 0.0)
-    peer_signal = pro + c * head_next + sp
-    now = np.where(
-        last_part > 0, np.maximum(own_end, peer_signal) + fx + st, own_end
-    )
-    finish = now + (w - 1) * (c * ipt_c + st)
-    makespan = finish.max(axis=1)
-
-    total = (t * ipt_c).astype(np.float64)
-    aligned_fraction = ((t - sk_tiles) * ipt_c) / total
-    stores = np.count_nonzero(b_misaligned, axis=1)
-    return makespan, aligned_fraction.ravel(), stores
 
 
 def _misaligned_boundaries_batch(
@@ -402,9 +329,10 @@ def _misaligned_boundaries_batch(
     row_chunk: int = _WALK_ROW_CHUNK,
 ) -> np.ndarray:
     """Per problem, how many of the ``g_eff - 1`` interior partition
-    boundaries fall off a tile edge (each costs one partial-sum exchange).
-    Batched twin of the per-problem profile in
-    :func:`repro.ensembles.streamk_library._region_fixup_profile`."""
+    boundaries of a balanced ``total``-iteration partition fall off a tile
+    edge (each costs one partial-sum exchange) — the
+    :attr:`~repro.schedules.base.Schedule.total_fixup_stores` of the basic
+    Stream-K schedule, without building it."""
     n = total.shape[0]
     out = np.empty(n, dtype=np.int64)
     for lo in range(0, n, max(1, row_chunk)):
@@ -440,11 +368,12 @@ def plan_batch(
     requests into one call, and corpus sweeps
     (:func:`repro.harness.vectorized.streamk_times`) pass the whole
     corpus.  Per-regime work runs through the batched Appendix A.1
-    argmin (:func:`repro.model.gridsize.select_grid_sizes_batch`), the
-    batched exact walk
-    (:func:`repro.gpu.analytic.basic_streamk_makespan_batch`), and the
-    vectorized two-tile walk, each cross-validated element-for-element
-    against its scalar twin.
+    argmin (:func:`repro.model.gridsize.select_grid_sizes_batch`) and the
+    batched closed forms of :mod:`repro.gpu.analytic`
+    (:func:`~repro.gpu.analytic.persistent_dp_makespan_batch`,
+    :func:`~repro.gpu.analytic.basic_streamk_makespan_batch`,
+    :func:`~repro.gpu.analytic.two_tile_walk_batch`), each
+    cross-validated element-for-element against its scalar twin.
 
     Parameters
     ----------
@@ -481,20 +410,19 @@ def plan_batch(
     # Regime A: perfect quantization -> persistent data-parallel.
     mask_a = t % p == 0
     if mask_a.any():
-        g_a = np.minimum(p, t[mask_a])
-        makespan[mask_a] = cost.prologue_cycles + _ceil_div(t[mask_a], g_a) * (
-            cost.cycles_per_iter * ipt[mask_a] + cost.store_tile_cycles
+        makespan[mask_a] = persistent_dp_makespan_batch(
+            t[mask_a], p, ipt[mask_a], cost
         )
         f[mask_a] = 1.0
-        g_arr[mask_a] = g_a
+        g_arr[mask_a] = np.minimum(p, t[mask_a])
         kinds[mask_a] = KIND_NAMES.index("data_parallel")
 
     # Regime C: two-tile hybrid (exact vectorized walk).
     mask_c = (~mask_a) & (t >= p)
     if mask_c.any():
         with span("two_tile_walk"):
-            walk_span, frac, n_stores = _two_tile_walk(
-                t[mask_c], ipt[mask_c], p, cost
+            walk_span, frac, n_stores = two_tile_walk_batch(
+                t[mask_c], p, ipt[mask_c], cost, row_chunk=_WALK_ROW_CHUNK
             )
         makespan[mask_c] = walk_span
         f[mask_c] = frac

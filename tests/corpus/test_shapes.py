@@ -1,7 +1,6 @@
 """Named workload shape tests."""
 
 from repro.corpus import (
-    conv_im2col_shapes,
     factorization_shapes,
     strong_scaling_shapes,
     transformer_shapes,
@@ -19,15 +18,6 @@ class TestTransformerShapes:
     def test_all_positive(self):
         for p in transformer_shapes().values():
             assert min(p.shape) >= 1
-
-
-class TestConvShapes:
-    def test_im2col_expansion(self):
-        shapes = conv_im2col_shapes(batch=8, image_hw=14, c_in=64, c_out=128, kernel_hw=3)
-        conv = shapes["conv3x3"]
-        assert conv.m == 8 * 14 * 14
-        assert conv.n == 128
-        assert conv.k == 64 * 9
 
 
 class TestFactorizationShapes:

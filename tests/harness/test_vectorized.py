@@ -10,8 +10,14 @@ import pytest
 
 from repro.corpus import CorpusSpec, generate_corpus
 from repro.errors import ConfigurationError
-from repro.gemm import FP16_FP32, FP64, Blocking, GemmProblem
-from repro.gpu import A100
+from repro.gemm import FP16_FP32, FP64, Blocking, GemmProblem, TileGrid
+from repro.gpu import (
+    A100,
+    AnalyticalMemoryModel,
+    basic_streamk_makespan,
+    persistent_dp_makespan,
+    two_tile_hybrid_makespan,
+)
 from repro.ensembles import (
     KernelVariant,
     StreamKLibrary,
@@ -26,6 +32,8 @@ from repro.harness.vectorized import (
     fixed_split_times,
     streamk_times,
 )
+from repro.model.gridsize import select_grid_size
+from repro.schedules import two_tile_schedule
 
 SHAPES = generate_corpus(CorpusSpec(size=60, seed=7))
 
@@ -59,14 +67,37 @@ class TestFixedSplitMatchesScalar:
         )
 
 
+def _scalar_streamk_time(lib, problem):
+    """The library's kernel priced by the scalar path alone: the regime's
+    closed form, the analytical memory model over the materialized
+    schedule, composed by roofline."""
+    gpu, cost = lib.gpu, lib.cost
+    grid = TileGrid(problem, lib.blocking)
+    t, ipt, p = grid.num_tiles, grid.iters_per_tile, gpu.num_sms
+    g_small = None
+    if t % p == 0:
+        makespan = persistent_dp_makespan(t, p, ipt, cost)
+    elif t < p:
+        g_small = select_grid_size(grid, lib.params, gpu.total_cta_slots).g
+        makespan = basic_streamk_makespan(t, g_small, ipt, cost)
+    else:
+        makespan = two_tile_hybrid_makespan(t, p, ipt, cost)
+    sched = two_tile_schedule(grid, p, g_small=g_small)
+    traffic = AnalyticalMemoryModel().traffic(sched, gpu, cost).total
+    memory = traffic / float(gpu.achieved_bandwidth(sched.g))
+    return max(makespan / gpu.clock_hz, memory) + gpu.launch_latency_s
+
+
 class TestStreamKMatchesLibrary:
     @pytest.mark.parametrize("dtype", [FP64, FP16_FP32])
     def test_matches_library_time(self, dtype):
         lib = StreamKLibrary(A100, dtype)
         vec = streamk_times(SHAPES, dtype, A100, params=lib.params)
-        for i in range(0, len(SHAPES), 5):
+        for i in range(len(SHAPES)):
             p = GemmProblem(*(int(v) for v in SHAPES[i]), dtype=dtype)
-            assert vec[i] == pytest.approx(lib.time_s(p), rel=1e-6), str(p)
+            assert vec[i] == pytest.approx(
+                _scalar_streamk_time(lib, p), rel=1e-6
+            ), str(p)
 
 
 class TestEvaluateCorpus:

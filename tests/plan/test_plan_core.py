@@ -2,7 +2,7 @@
 
 Pins the plan/evaluate split the serving daemon depends on: a scalar
 ``plan_query`` is a one-row ``plan_batch``; the library's per-problem
-``StreamKLibrary.plan`` agrees field-for-field with the batched planner;
+``StreamKLibrary.plan`` is the batched planner's whole record;
 and the corpus engine's ``streamk_times`` is exactly the batch's
 ``time_s`` column.
 """
@@ -52,8 +52,8 @@ class TestScalarBatchEquivalence:
 
 
 class TestLibraryParity:
-    """StreamKLibrary.plan now delegates here; every field must agree
-    with what the pre-split scalar regime logic computed."""
+    """StreamKLibrary.plan is a plan_query at the library's constants and
+    blocking: whole records agree, time and makespan included."""
 
     @pytest.mark.parametrize("gpu_name", available_gpus())
     def test_plan_fields_match_library_across_presets(self, gpu_name):
@@ -61,25 +61,17 @@ class TestLibraryParity:
         lib = StreamKLibrary(gpu, FP16_FP32)
         for m, n, k in SHAPES[:32]:
             problem = GemmProblem(int(m), int(n), int(k), dtype=FP16_FP32)
-            lib_plan = lib.plan(problem)
-            plan = plan_query(
-                int(m), int(n), int(k), FP16_FP32, gpu, params=lib.params
+            assert lib.plan(problem) == plan_query(
+                int(m), int(n), int(k), FP16_FP32, gpu,
+                params=lib.params, blocking=lib.blocking,
             )
-            assert plan.kind == lib_plan.kind
-            assert plan.g == lib_plan.g
-            assert plan.num_tiles == lib_plan.num_tiles
-            assert plan.iters_per_tile == lib_plan.iters_per_tile
-            assert plan.k_aligned_fraction == lib_plan.k_aligned_fraction
-            assert plan.fixup_stores == lib_plan.fixup_stores
 
     def test_fp64_regime_boundaries(self, gpu4):
         lib = StreamKLibrary(gpu4, FP64)
         for m, n, k in ((128, 128, 1024), (512, 512, 256), (640, 384, 96)):
             problem = GemmProblem(m, n, k, dtype=FP64)
-            lib_plan = lib.plan(problem)
-            plan = plan_query(m, n, k, FP64, gpu4, params=lib.params)
-            assert (plan.kind, plan.g, plan.fixup_stores) == (
-                lib_plan.kind, lib_plan.g, lib_plan.fixup_stores,
+            assert lib.plan(problem) == plan_query(
+                m, n, k, FP64, gpu4, params=lib.params, blocking=lib.blocking
             )
 
 
