@@ -90,7 +90,7 @@ def run_backend_grid(sizes, rounds):
                 return Executor(slots).run(cost.build_tasks(schedule))
 
             def fast():
-                return Executor(slots, backend="numpy").run_arrays(
+                return Executor(slots).run_arrays(
                     cost.build_task_arrays(schedule)
                 )
 
@@ -134,7 +134,7 @@ def run_faulted_grid(sizes, rounds):
 
                 def oracle():
                     inj = FaultInjector(config)
-                    return Executor(slots, faults=inj, backend="python").run(
+                    return Executor(slots, faults=inj).run(
                         cost.build_tasks(schedule, faults=inj)
                     )
 

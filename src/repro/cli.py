@@ -45,7 +45,6 @@ from .corpus.generator import CorpusSpec, generate_corpus
 from .gemm.dtypes import DTYPE_CONFIGS, get_dtype_config
 from .gemm.problem import GemmProblem
 from .gemm.tiling import Blocking, TileGrid
-from .gpu.backends import EXECUTOR_BACKENDS, set_default_executor
 from .gpu.spec import DEFAULT_GPU_NAME, available_gpus, resolve_gpu
 from .metrics.report import format_utilization
 from .obs import profiler as _profiler
@@ -64,15 +63,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="simulated GPU: a registered preset (%s) or a path to a "
         "custom spec JSON (default %s; see docs/HARDWARE.md)"
         % (", ".join(available_gpus()), DEFAULT_GPU_NAME),
-    )
-    _add_executor(p)
-
-
-def _add_executor(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--executor", default=None, choices=EXECUTOR_BACKENDS,
-        help="executor simulation backend (default: $REPRO_EXECUTOR, else "
-        "python; numpy is bitwise identical and much faster)",
     )
 
 
@@ -195,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dtype", default="fp16_fp32", choices=sorted(DTYPE_CONFIGS),
         help="precision configuration (default fp16_fp32)",
     )
-    _add_executor(p)
     p.add_argument(
         "--gpus", default="a100,h100_sxm,v100_sxm2,rtx3090",
         metavar="NAME|PATH,...",
@@ -1103,9 +1092,6 @@ def main(argv: "list[str] | None" = None) -> int:
     # Honor REPRO_PROFILE regardless of import order: any command can be
     # profiled by setting the environment variable (docs in README.md).
     env_profiling = _profiler.sync_profiling_with_env()
-    if getattr(args, "executor", None) is not None:
-        # --executor wins over $REPRO_EXECUTOR for the whole process.
-        set_default_executor(args.executor)
     try:
         rc = _COMMANDS[args.command](args)
     except SweepInterrupted as exc:

@@ -82,7 +82,10 @@ class StreamKLibrary:
 
     @profiled("streamk_build_schedule")
     def build_schedule(self, problem: GemmProblem) -> Schedule:
-        """Materialize the planned schedule (figures, examples, tests)."""
+        """Materialize the planned schedule (figures, examples, tests).
+
+        Its ``metadata["kind"]`` is the plan's ``kind``.
+        """
         grid = TileGrid(problem, self.blocking)
         plan = self.plan(problem)
         g_small = plan.g if plan.kind == "basic_stream_k" else None

@@ -27,7 +27,6 @@ from ..errors import ConfigurationError, DeadlockError
 from ..gemm.dtypes import DtypeConfig
 from ..gemm.problem import GemmProblem
 from ..gemm.tiling import Blocking, TileGrid
-from ..gpu.backends import resolve_executor_backend
 from ..gpu.costmodel import KernelCostModel
 from ..gpu.executor import Executor
 from ..gpu.spec import GpuSpec
@@ -98,11 +97,16 @@ def run_fault_sweep(
     :class:`FaultConfig` (default: the canonical straggler sweep point).
     With ``check=True`` every completed cell is replayed through the
     protocol invariant checker.  Deterministic: same arguments => same
-    cells, bitwise — including across ``executor`` backends (``python``
-    or ``numpy``; ``None`` defers to the process default).
+    cells, bitwise — including across ``executor`` loops: ``None`` or
+    ``"numpy"`` runs the numpy event loop, ``"python"`` the oracle (the
+    reference a bench checks the fast loop against).
     """
     if not severities:
         raise ConfigurationError("need at least one severity")
+    if executor not in (None, "numpy", "python"):
+        raise ConfigurationError(
+            "unknown executor %r; expected 'numpy' or 'python'" % (executor,)
+        )
     dtype: DtypeConfig = problem.dtype
     blocking = Blocking(*dtype.default_blocking)
     grid = TileGrid(problem, blocking)
@@ -117,11 +121,9 @@ def run_fault_sweep(
             for severity in severities:
                 injector = FaultInjector(config_factory(severity, seed))
                 with span("fault_sweep_cell"):
-                    exe = Executor(
-                        gpu.total_cta_slots, faults=injector, backend=executor
-                    )
+                    exe = Executor(gpu.total_cta_slots, faults=injector)
                     try:
-                        if resolve_executor_backend(executor) == "python":
+                        if executor == "python":
                             trace = exe.run(
                                 cost.build_tasks(schedule, faults=injector)
                             )

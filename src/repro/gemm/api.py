@@ -122,12 +122,11 @@ def gemm(
     out = schedule.execute(a_op, b_op, c=c)
     err = validate_result(problem, out, a_op, b_op, c)
     result = simulate_kernel(schedule, gpu)
-    plan = library.plan(problem)
     return GemmResult(
         c=out,
         problem=problem,
         schedule_name=schedule.name,
-        plan_kind=plan.kind,
+        plan_kind=schedule.metadata["kind"],
         g=schedule.g,
         time_s=result.time_s,
         tflops=problem.flops / result.time_s / 1e12,

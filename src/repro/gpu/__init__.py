@@ -28,18 +28,11 @@ from .analytic import (
     two_tile_hybrid_makespan,
     two_tile_walk_batch,
 )
-from .backends import (
-    EXECUTOR_BACKENDS,
-    TaskArrays,
-    resolve_executor_backend,
-    run_task_arrays,
-    set_default_executor,
-    tasks_to_arrays,
-)
+from .backends import TaskArrays, run_task_arrays, tasks_to_arrays
 from .cache import CacheStats, FragmentCache
 from .costmodel import KernelCostModel
 from .cta import CtaTask, SegmentKind, TimedSegment
-from .executor import Executor, execute_tasks
+from .executor import Executor
 from .memory import AnalyticalMemoryModel, CacheSimMemoryModel, TrafficBreakdown
 from .occupancy import (
     DEFAULT_SMEM_PER_SM,
@@ -77,7 +70,6 @@ __all__ = [
     "CtaRecord",
     "CtaTask",
     "DEFAULT_SMEM_PER_SM",
-    "EXECUTOR_BACKENDS",
     "ExecutionTrace",
     "Executor",
     "FragmentCache",
@@ -101,17 +93,14 @@ __all__ = [
     "persistent_dp_makespan_batch",
     "two_tile_walk_batch",
     "estimate_occupancy",
-    "execute_tasks",
     "fixed_split_makespan",
     "get_gpu",
     "register_gpu",
-    "resolve_executor_backend",
     "resolve_gpu",
     "run_task_arrays",
     "max_streamk_grid",
     "one_wave_makespan",
     "persistent_dp_makespan",
-    "set_default_executor",
     "simulate_kernel",
     "smem_bytes_per_cta",
     "tasks_to_arrays",

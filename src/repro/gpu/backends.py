@@ -16,16 +16,16 @@ verbatim over flat arrays with zero per-segment allocation, consulting
 the fault injector (when one is given) in the oracle's exact query
 order.
 
-Backend selection: ``python`` (the oracle) or ``numpy`` (this module).
-The default comes from the ``REPRO_EXECUTOR`` environment variable (CLI
-flag ``--executor`` overrides per invocation via
-:func:`set_default_executor`).
+The kind of input is the only selector: ``Executor.run(tasks)`` is the
+oracle, kept as the test reference, and ``Executor.run_arrays(arrays)``
+is this loop, which every kernel simulation runs
+(:func:`~repro.gpu.simulate.simulate_kernel`, the fault sweep, the
+CLI).  :func:`tasks_to_arrays` feeds hand-built task lists to it.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,59 +45,17 @@ from .trace import (
 )
 
 __all__ = [
-    "EXECUTOR_BACKENDS",
     "ArrayTrace",
     "DeadlockCtaView",
     "TaskArrays",
     "diagnose_deadlock",
-    "resolve_executor_backend",
     "run_task_arrays",
-    "set_default_executor",
     "tasks_to_arrays",
 ]
 
 # The trace's kind codes must index-align with the flattener's.
 if tuple(k.value for k in CODE_TO_KIND) != KIND_NAMES:  # pragma: no cover
     raise AssertionError("segment-kind codes drifted from SegmentKind")
-
-EXECUTOR_BACKENDS = ("python", "numpy")
-_ENV_VAR = "REPRO_EXECUTOR"
-_default_backend: "str | None" = None
-
-
-def set_default_executor(name: "str | None") -> None:
-    """Set the process-wide default backend.
-
-    ``None`` restores the environment default (``REPRO_EXECUTOR``, else
-    ``python``).  The CLI's ``--executor`` flag lands here.
-    """
-    global _default_backend
-    if name is not None:
-        name = _validate_backend(name)
-    _default_backend = name
-
-
-def resolve_executor_backend(name: "str | None" = None) -> str:
-    """Resolve a backend request to a concrete backend name.
-
-    Precedence: explicit ``name`` > :func:`set_default_executor` >
-    ``REPRO_EXECUTOR`` env var > ``"python"``.
-    """
-    if name is None:
-        name = _default_backend
-    if name is None:
-        name = os.environ.get(_ENV_VAR, "").strip() or "python"
-    return _validate_backend(name)
-
-
-def _validate_backend(name: str) -> str:
-    name = str(name).lower()
-    if name not in EXECUTOR_BACKENDS:
-        raise ConfigurationError(
-            "unknown executor backend %r; expected one of %s"
-            % (name, ", ".join(EXECUTOR_BACKENDS))
-        )
-    return name
 
 
 # ---------------------------------------------------------------------- #

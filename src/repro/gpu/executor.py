@@ -27,6 +27,13 @@ compute segments, delays flag publications, and drops signals outright —
 dropped signals surface as the same clean ``DeadlockError`` (a discrete-
 event simulator cannot literally hang, so the "GPU hang" is always
 reported as a diagnosis, never experienced as one).
+
+Two loops run this one model, and the kind of input selects the loop.
+:meth:`Executor.run` walks task objects in pure Python: it is the
+*bitwise oracle*, the reference the tests compare against (calibration's
+few single-tile microbenchmarks also run it).  :meth:`Executor.run_arrays`
+is the numpy event loop of :mod:`repro.gpu.backends`, bitwise identical
+and much faster; every kernel simulation runs it.
 """
 
 from __future__ import annotations
@@ -38,17 +45,11 @@ from dataclasses import dataclass, field
 from ..errors import ConfigurationError, DeadlockError, SimulationError
 from ..obs.counters import inc_counter
 from ..obs.profiler import span
-from .backends import (
-    DeadlockCtaView,
-    diagnose_deadlock,
-    resolve_executor_backend,
-    run_task_arrays,
-    tasks_to_arrays,
-)
+from .backends import DeadlockCtaView, diagnose_deadlock, run_task_arrays
 from .cta import CtaTask, SegmentKind
 from .trace import CtaRecord, ExecutionTrace, SegmentRecord
 
-__all__ = ["execute_tasks", "Executor"]
+__all__ = ["Executor"]
 
 
 @dataclass
@@ -74,58 +75,43 @@ class _CtaState:
 
 
 class Executor:
-    """Runs a list of :class:`~repro.gpu.cta.CtaTask` to completion.
+    """Runs CTA tasks to completion on ``num_sm_slots`` slots.
 
     ``faults``, when given, is a :class:`~repro.faults.injector.
     FaultInjector` consulted at every injection site; ``None`` (the
     default) is the pristine fast path and is bitwise identical to a
     null-config injector.
-
-    ``backend`` selects the simulation core: ``"python"`` (this module —
-    the bitwise oracle) or ``"numpy"`` (the array event loop of
-    :mod:`repro.gpu.backends`, bitwise identical and much faster).
-    ``None`` defers to the process default (CLI ``--executor`` flag,
-    else the ``REPRO_EXECUTOR`` environment variable, else python).
     """
 
-    def __init__(self, num_sm_slots: int, faults=None, backend=None):
+    def __init__(self, num_sm_slots: int, faults=None):
         if num_sm_slots <= 0:
             raise ConfigurationError(
                 "need at least one SM slot, got %d" % num_sm_slots
             )
         self.num_sm_slots = num_sm_slots
         self.faults = faults
-        self.backend = backend
-
-    def run(self, tasks: "list[CtaTask]") -> ExecutionTrace:
-        """Execute ``tasks`` in launch order; return the full trace.
-
-        Besides returning the trace, each run publishes volume counters to
-        :mod:`repro.obs.counters` (``executor.runs|ctas|segments``,
-        ``executor.spin_waits|signals``, ``executor.backend.<name>``,
-        plus ``faults.*`` from the injector) — one batched update per
-        run, so the per-segment hot loop stays untouched.
-        """
-        backend = resolve_executor_backend(self.backend)
-        if backend != "python":
-            return run_task_arrays(
-                tasks_to_arrays(tasks), self.num_sm_slots, faults=self.faults
-            )
-        return self._run_python(tasks)
 
     def run_arrays(self, arrays) -> ExecutionTrace:
-        """Execute a pre-flattened :class:`~repro.gpu.backends.TaskArrays`.
+        """Execute a :class:`~repro.gpu.backends.TaskArrays` on the numpy
+        event loop — the path every simulation takes.
 
-        The fast path for callers that price schedules straight into
-        arrays (:meth:`~repro.gpu.costmodel.KernelCostModel.
-        build_task_arrays`) — no task objects are ever built.  Always
-        runs the (bitwise-identical) numpy event loop, whatever
-        ``backend`` says, since the oracle walks task objects.
+        Callers price schedules straight into arrays
+        (:meth:`~repro.gpu.costmodel.KernelCostModel.build_task_arrays`),
+        so no task objects are ever built; tests feed hand-built task
+        lists through :func:`~repro.gpu.backends.tasks_to_arrays`.
         """
         return run_task_arrays(arrays, self.num_sm_slots, faults=self.faults)
 
-    def _run_python(self, tasks: "list[CtaTask]") -> ExecutionTrace:
-        """The oracle: the original pure-Python discrete-event loop."""
+    def run(self, tasks: "list[CtaTask]") -> ExecutionTrace:
+        """The oracle: execute ``tasks`` in launch order on the pure-Python
+        loop; return the full trace.
+
+        Besides returning the trace, each run publishes volume counters to
+        :mod:`repro.obs.counters` (``executor.runs|ctas|segments``,
+        ``executor.spin_waits|signals``, ``executor.backend.python``,
+        plus ``faults.*`` from the injector) — one batched update per
+        run, so the per-segment hot loop stays untouched.
+        """
         ids = [t.cta for t in tasks]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("duplicate CTA ids in task list")
@@ -266,10 +252,3 @@ class Executor:
             for s in states
         ]
         return diagnose_deadlock(views, by_slot_signal, dropped_slots)
-
-
-def execute_tasks(
-    tasks: "list[CtaTask]", num_sm_slots: int, faults=None, backend=None
-) -> ExecutionTrace:
-    """Convenience wrapper: ``Executor(num_sm_slots, faults).run(tasks)``."""
-    return Executor(num_sm_slots, faults=faults, backend=backend).run(tasks)

@@ -3,9 +3,11 @@
 ``simulate_kernel`` composes the pieces of this subpackage:
 
 1. the :class:`~repro.gpu.costmodel.KernelCostModel` prices the schedule's
-   work into timed CTA tasks;
+   work straight into flat task arrays;
 2. the discrete-event :class:`~repro.gpu.executor.Executor` produces the
-   compute makespan (waves, spin-waits, fixup serialization included);
+   compute makespan (waves, spin-waits, fixup serialization included) on
+   its numpy event loop, which reproduces the pure-Python oracle loop —
+   the tests' reference — bitwise;
 3. a memory model estimates DRAM traffic;
 4. kernel time is ``max(makespan / clock, dram_bytes / bandwidth) +
    launch latency`` — the roofline composition: a kernel cannot run faster
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from ..schedules.base import Schedule
-from .backends import resolve_executor_backend
 from .costmodel import KernelCostModel
 from .executor import Executor
 from .memory import AnalyticalMemoryModel, CacheSimMemoryModel, TrafficBreakdown
@@ -75,7 +76,6 @@ def simulate_kernel(
     validate: bool = False,
     faults=None,
     check_invariants: bool = False,
-    executor: "str | None" = None,
 ) -> KernelResult:
     """Simulate one schedule end to end.
 
@@ -103,13 +103,6 @@ def simulate_kernel(
         checker (:func:`repro.faults.checker.check_protocol_invariants`)
         and raise :class:`~repro.errors.ProtocolViolation` on any breach
         of the partials/fixup carry protocol.
-    executor:
-        Executor backend: ``"python"`` (the bitwise oracle) or
-        ``"numpy"`` (the array event loop, bitwise identical — see
-        :mod:`repro.gpu.backends`).  ``None`` defers to the process
-        default (CLI ``--executor``, else ``REPRO_EXECUTOR``, else
-        python).  The numpy backend prices the schedule straight into
-        arrays, never building per-segment task objects.
     """
     if validate:
         schedule.validate()
@@ -120,17 +113,8 @@ def simulate_kernel(
         injector = FaultInjector(injector)
     problem = schedule.grid.problem
     cost = KernelCostModel(gpu=gpu, blocking=schedule.grid.blocking, dtype=problem.dtype)
-    backend = resolve_executor_backend(executor)
-    if backend == "python":
-        tasks = cost.build_tasks(schedule, faults=injector)
-        trace = Executor(
-            gpu.total_cta_slots, faults=injector, backend=backend
-        ).run(tasks)
-    else:
-        arrays = cost.build_task_arrays(schedule, faults=injector)
-        trace = Executor(
-            gpu.total_cta_slots, faults=injector, backend=backend
-        ).run_arrays(arrays)
+    arrays = cost.build_task_arrays(schedule, faults=injector)
+    trace = Executor(gpu.total_cta_slots, faults=injector).run_arrays(arrays)
     if check_invariants:
         from ..faults.checker import check_protocol_invariants
 

@@ -74,13 +74,8 @@ def run_schedule(
     memory_model: str = "analytical",
     operands: "tuple[np.ndarray, np.ndarray] | None" = None,
     seed: int = 0,
-    executor: "str | None" = None,
 ) -> MeasuredRun:
-    """Validate, optionally execute numerically, and simulate a schedule.
-
-    ``executor`` selects the simulation backend (``python`` or
-    ``numpy``); ``None`` defers to the process default.
-    """
+    """Validate, optionally execute numerically, and simulate a schedule."""
     schedule.validate()
     problem = schedule.grid.problem
     err = None
@@ -88,9 +83,7 @@ def run_schedule(
         a, b = operands if operands is not None else random_operands(problem, seed)
         out = schedule.execute(a, b)
         err = validate_result(problem, out, a, b)
-    result = simulate_kernel(
-        schedule, gpu, memory_model=memory_model, executor=executor
-    )
+    result = simulate_kernel(schedule, gpu, memory_model=memory_model)
     return MeasuredRun(
         problem=problem,
         schedule_name=schedule.name,

@@ -24,7 +24,13 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.gemm import FP16_FP32, FP64, Blocking, GemmProblem, TileGrid, random_operands
-from repro.gpu import A100, HYPOTHETICAL_4SM, KernelCostModel
+from repro.gpu import (
+    A100,
+    HYPOTHETICAL_4SM,
+    Executor,
+    KernelCostModel,
+    tasks_to_arrays,
+)
 
 for _name, _examples in (("dev", 25), ("ci", 200)):
     settings.register_profile(
@@ -91,3 +97,27 @@ def assert_schedule_correct(schedule, a, b, reference, atol_scale=1.0):
         "schedule %s wrong by %.3e" % (schedule.name, err)
     )
     return out
+
+
+def run_oracle(tasks, num_sm_slots, faults=None):
+    """The pure-Python oracle loop: :meth:`Executor.run` on task objects."""
+    return Executor(num_sm_slots, faults=faults).run(tasks)
+
+
+def run_on_arrays(tasks, num_sm_slots, faults=None):
+    """The numpy event loop every simulation runs, on the same tasks."""
+    return Executor(num_sm_slots, faults=faults).run_arrays(
+        tasks_to_arrays(tasks)
+    )
+
+
+@pytest.fixture(scope="module")
+def execute():
+    """The event loop an executor suite runs its hand-built tasks on.
+
+    Two-valued across modules: the oracle here, and :func:`run_on_arrays`
+    in ``tests/gpu/test_executor_on_arrays.py``, which re-collects the
+    executor suites with this fixture overridden.  Module scope lets
+    module-scoped fixtures build on it.
+    """
+    return run_oracle

@@ -32,7 +32,6 @@ from repro.gpu import (
     KernelCostModel,
     SegmentKind,
     TimedSegment,
-    execute_tasks,
     simulate_kernel,
 )
 from repro.gpu.backends import ArrayTrace, tasks_to_arrays
@@ -72,12 +71,10 @@ def contrib_item(cta, tile=0, begin=4, end=8):
 
 
 def execute(tasks, num_sm_slots, arrays=False):
-    """Run ``tasks`` on the oracle, or on the numpy backend (``arrays``)."""
+    """Run ``tasks`` on the oracle, or on the numpy loop (``arrays``)."""
     if arrays:
-        return Executor(num_sm_slots, backend="numpy").run_arrays(
-            tasks_to_arrays(tasks)
-        )
-    return execute_tasks(tasks, num_sm_slots)
+        return Executor(num_sm_slots).run_arrays(tasks_to_arrays(tasks))
+    return Executor(num_sm_slots).run(tasks)
 
 
 def legal_pair(arrays=False):

@@ -14,8 +14,9 @@ import pytest
 
 from repro.errors import DeadlockError
 from repro.faults import FaultConfig, FaultInjector
+from repro.faults.checker import check_protocol_invariants
 from repro.gemm import FP16_FP32, Blocking, GemmProblem, TileGrid
-from repro.gpu import HYPOTHETICAL_4SM, simulate_kernel
+from repro.gpu import HYPOTHETICAL_4SM, KernelCostModel
 from repro.obs.export import trace_to_chrome
 from repro.schedules.stream_k import stream_k_schedule
 
@@ -32,26 +33,42 @@ def fig2_schedule():
     return stream_k_schedule(grid, 4)
 
 
-def run(schedule, faults=None, check=False):
-    return simulate_kernel(
-        schedule, HYPOTHETICAL_4SM, faults=faults, check_invariants=check
-    )
+@pytest.fixture(scope="module")
+def run(execute):
+    """Price ``schedule`` into tasks under ``faults`` (a config or a shared
+    injector) and run them on the suite's event loop; return the trace."""
+    gpu = HYPOTHETICAL_4SM
+
+    def run(schedule, faults=None, check=False):
+        if faults is not None and not isinstance(faults, FaultInjector):
+            faults = FaultInjector(faults)
+        grid = schedule.grid
+        cost = KernelCostModel(
+            gpu=gpu, blocking=grid.blocking, dtype=grid.problem.dtype
+        )
+        tasks = cost.build_tasks(schedule, faults=faults)
+        trace = execute(tasks, gpu.total_cta_slots, faults=faults)
+        if check:
+            check_protocol_invariants(schedule, trace)
+        return trace
+
+    return run
 
 
 class TestZeroFaultInertness:
-    def test_null_config_bitwise_matches_pristine(self, fig2_schedule):
-        pristine = run(fig2_schedule).trace
-        nulled = run(fig2_schedule, faults=FaultConfig.none()).trace
+    def test_null_config_bitwise_matches_pristine(self, run, fig2_schedule):
+        pristine = run(fig2_schedule)
+        nulled = run(fig2_schedule, faults=FaultConfig.none())
         assert (
             trace_to_chrome(nulled)["traceEvents"]
             == trace_to_chrome(pristine)["traceEvents"]
         )
         assert nulled.makespan == pristine.makespan
 
-    def test_null_config_matches_committed_golden_trace(self, fig2_schedule):
+    def test_null_config_matches_committed_golden_trace(self, run, fig2_schedule):
         with open(COMMITTED) as fh:
             committed = json.load(fh)
-        fresh = trace_to_chrome(run(fig2_schedule, faults=FaultConfig.none()).trace)
+        fresh = trace_to_chrome(run(fig2_schedule, faults=FaultConfig.none()))
         assert fresh["traceEvents"] == committed["traceEvents"]
 
 
@@ -68,21 +85,21 @@ class TestReproducibility:
         preempt_penalty_cycles=100.0,
     )
 
-    def test_same_seed_same_trace_bitwise(self, fig2_schedule):
-        a = run(fig2_schedule, faults=self.CFG).trace
-        b = run(fig2_schedule, faults=self.CFG).trace
+    def test_same_seed_same_trace_bitwise(self, run, fig2_schedule):
+        a = run(fig2_schedule, faults=self.CFG)
+        b = run(fig2_schedule, faults=self.CFG)
         assert (
             trace_to_chrome(a)["traceEvents"] == trace_to_chrome(b)["traceEvents"]
         )
         assert a.makespan == b.makespan
 
-    def test_different_seed_different_trace(self, fig2_schedule):
-        a = run(fig2_schedule, faults=self.CFG).trace
-        b = run(fig2_schedule, faults=self.CFG.with_seed(4)).trace
+    def test_different_seed_different_trace(self, run, fig2_schedule):
+        a = run(fig2_schedule, faults=self.CFG)
+        b = run(fig2_schedule, faults=self.CFG.with_seed(4))
         # Clock skew is continuous per slot, so any seed change moves it.
         assert a.makespan != b.makespan
 
-    def test_shared_injector_accumulates_one_log(self, fig2_schedule):
+    def test_shared_injector_accumulates_one_log(self, run, fig2_schedule):
         inj = FaultInjector(self.CFG)
         run(fig2_schedule, faults=inj)
         n = len(inj.log)
@@ -92,38 +109,38 @@ class TestReproducibility:
 
 
 class TestFaultEffects:
-    def test_stragglers_degrade_makespan(self, fig2_schedule):
-        baseline = run(fig2_schedule).trace.makespan
+    def test_stragglers_degrade_makespan(self, run, fig2_schedule):
+        baseline = run(fig2_schedule).makespan
         cfg = FaultConfig(straggler_prob=1.0, straggler_severity=1.0)
-        slowed = run(fig2_schedule, faults=cfg, check=True).trace.makespan
+        slowed = run(fig2_schedule, faults=cfg, check=True).makespan
         assert slowed == pytest.approx(2.0 * baseline)
 
-    def test_signal_delay_stalls_owners(self, fig2_schedule):
-        baseline = run(fig2_schedule).trace.makespan
+    def test_signal_delay_stalls_owners(self, run, fig2_schedule):
+        baseline = run(fig2_schedule).makespan
         cfg = FaultConfig(signal_delay_prob=1.0, signal_delay_cycles=5000.0)
-        delayed = run(fig2_schedule, faults=cfg, check=True).trace.makespan
+        delayed = run(fig2_schedule, faults=cfg, check=True).makespan
         assert delayed > baseline
 
-    def test_preempt_penalty_charged(self, fig2_schedule):
-        baseline = run(fig2_schedule).trace.makespan
+    def test_preempt_penalty_charged(self, run, fig2_schedule):
+        baseline = run(fig2_schedule).makespan
         cfg = FaultConfig(preempt_prob=1.0, preempt_penalty_cycles=10000.0)
-        preempted = run(fig2_schedule, faults=cfg, check=True).trace.makespan
+        preempted = run(fig2_schedule, faults=cfg, check=True).makespan
         assert preempted > baseline + 10000.0
 
-    def test_mem_jitter_prices_into_tasks(self, fig2_schedule):
-        baseline = run(fig2_schedule).trace.makespan
+    def test_mem_jitter_prices_into_tasks(self, run, fig2_schedule):
+        baseline = run(fig2_schedule).makespan
         cfg = FaultConfig(mem_jitter=1.0)
-        jittered = run(fig2_schedule, faults=cfg, check=True).trace
+        jittered = run(fig2_schedule, faults=cfg, check=True)
         assert jittered.makespan > baseline
 
-    def test_invariants_hold_under_combined_faults(self, fig2_schedule):
+    def test_invariants_hold_under_combined_faults(self, run, fig2_schedule):
         # Faults reorder time, never the carry protocol: the checker must
         # accept every completing faulted run.
         run(fig2_schedule, faults=TestReproducibility.CFG, check=True)
 
 
 class TestDroppedSignals:
-    def test_dropped_signal_is_clean_deadlock(self, fig2_schedule):
+    def test_dropped_signal_is_clean_deadlock(self, run, fig2_schedule):
         cfg = FaultConfig(signal_drop_prob=1.0)
         with pytest.raises(DeadlockError) as exc:
             run(fig2_schedule, faults=cfg)
@@ -134,7 +151,7 @@ class TestDroppedSignals:
             assert "dropped by fault injection" in reason
         assert "dropped by fault injection" in str(err)
 
-    def test_partial_drop_names_only_lost_producer(self, fig2_schedule):
+    def test_partial_drop_names_only_lost_producer(self, run, fig2_schedule):
         # Find a seed where some (not all) signals drop, then check the
         # diagnostic names exactly the dropped producers' waiters.
         for seed in range(64):

@@ -59,6 +59,10 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             run_fault_sweep(problem, HYPOTHETICAL_4SM, severities=())
 
+    def test_unknown_executor_rejected(self, problem):
+        with pytest.raises(ConfigurationError, match="unknown executor"):
+            run_fault_sweep(problem, HYPOTHETICAL_4SM, executor="bogus")
+
 
 class TestDeadlockCells:
     def factory(self, severity, seed):

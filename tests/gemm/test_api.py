@@ -56,6 +56,23 @@ class TestGemm:
         assert r.plan_kind in ("data_parallel", "basic_stream_k", "two_tile")
         assert r.g >= 1
 
+    def test_plans_once(self, fp64_ops, monkeypatch):
+        """One plan both builds the schedule and names ``plan_kind``."""
+        import repro.ensembles.streamk_library as library
+
+        calls = []
+        plan_query = library.plan_query
+
+        def counting(*args, **kwargs):
+            calls.append(args[:3])
+            return plan_query(*args, **kwargs)
+
+        monkeypatch.setattr(library, "plan_query", counting)
+        a, b = fp64_ops
+        r = gemm(a, b, gpu=HYPOTHETICAL_4SM)
+        assert calls == [(96, 80, 64)]
+        assert r.plan_kind == plan_query(96, 80, 64, FP64, HYPOTHETICAL_4SM).kind
+
     def test_mismatched_inner_dims_rejected(self):
         with pytest.raises(ConfigurationError, match="inner dimensions"):
             gemm(np.zeros((4, 5)), np.zeros((6, 4)), gpu=HYPOTHETICAL_4SM)

@@ -20,15 +20,7 @@ from repro.errors import ConfigurationError, DeadlockError, SimulationError
 from repro.faults import FaultConfig, FaultInjector
 from repro.faults.sweep import build_registered_schedule
 from repro.gemm import FP16_FP32, FP64, Blocking, GemmProblem, TileGrid
-from repro.gpu import (
-    Executor,
-    KernelCostModel,
-    execute_tasks,
-    resolve_executor_backend,
-    run_task_arrays,
-    set_default_executor,
-    tasks_to_arrays,
-)
+from repro.gpu import Executor, KernelCostModel, run_task_arrays, tasks_to_arrays
 from repro.gpu.cta import CtaTask, SegmentKind, TimedSegment
 from repro.gpu.spec import GPU_PRESETS
 from repro.obs.counters import reset_counters, snapshot_counters
@@ -74,7 +66,7 @@ def _oracle_run(schedule, cost, slots, config):
     reset_counters()
     inj = FaultInjector(config) if config else None
     tasks = cost.build_tasks(schedule, faults=inj)
-    trace = Executor(slots, faults=inj, backend="python").run(tasks)
+    trace = Executor(slots, faults=inj).run(tasks)
     return trace, inj, snapshot_counters()
 
 
@@ -82,7 +74,7 @@ def _array_run(schedule, cost, slots, config):
     reset_counters()
     inj = FaultInjector(config) if config else None
     arrays = cost.build_task_arrays(schedule, faults=inj)
-    trace = Executor(slots, faults=inj, backend="numpy").run_arrays(arrays)
+    trace = Executor(slots, faults=inj).run_arrays(arrays)
     return trace, inj, snapshot_counters()
 
 
@@ -190,18 +182,17 @@ class TestTraceParity:
             assert_traces_identical(oracle, fast, name)
 
     def test_tasks_to_arrays_roundtrip(self):
-        """run(tasks) under the numpy backend (tasks -> arrays conversion)
-        equals both the oracle and the direct build_task_arrays path; a
-        hand-built wait-before-signal chain matches the oracle on both
-        sides of the one-wave boundary, pristine and faulted."""
+        """The numpy loop on tasks_to_arrays(tasks) equals both the oracle
+        and the direct build_task_arrays path; a hand-built
+        wait-before-signal chain matches the oracle on both sides of the
+        one-wave boundary, pristine and faulted."""
         spec = GPU_PRESETS["a100"]
         schedule, cost = _build("stream_k", spec, PROBLEMS[0])
         tasks = cost.build_tasks(schedule)
-        oracle = Executor(spec.total_cta_slots, backend="python").run(tasks)
-        via_tasks = Executor(spec.total_cta_slots, backend="numpy").run(tasks)
-        direct = Executor(spec.total_cta_slots, backend="numpy").run_arrays(
-            cost.build_task_arrays(schedule)
-        )
+        exe = Executor(spec.total_cta_slots)
+        oracle = exe.run(tasks)
+        via_tasks = exe.run_arrays(tasks_to_arrays(tasks))
+        direct = exe.run_arrays(cost.build_task_arrays(schedule))
         assert_traces_identical(oracle, via_tasks)
         assert_traces_identical(oracle, direct)
 
@@ -210,8 +201,10 @@ class TestTraceParity:
             for config in (None, FAULTY):
                 oi = FaultInjector(config) if config else None
                 fi = FaultInjector(config) if config else None
-                a = execute_tasks(chain, slots, faults=oi, backend="python")
-                b = execute_tasks(chain, slots, faults=fi, backend="numpy")
+                a = Executor(slots, faults=oi).run(chain)
+                b = Executor(slots, faults=fi).run_arrays(
+                    tasks_to_arrays(chain)
+                )
                 assert_traces_identical(a, b, "chain/slots=%d" % slots)
                 if config:
                     assert oi.injection_counts() == fi.injection_counts()
@@ -259,17 +252,11 @@ class TestDeadlockParity:
             reset_counters()
             oi = FaultInjector(config)
             tasks = cost.build_tasks(schedule, faults=oi)
-            a = outcome(
-                lambda: Executor(slots, faults=oi, backend="python").run(tasks)
-            )
+            a = outcome(lambda: Executor(slots, faults=oi).run(tasks))
             reset_counters()
             fi = FaultInjector(config)
             arrays = cost.build_task_arrays(schedule, faults=fi)
-            b = outcome(
-                lambda: Executor(slots, faults=fi, backend="numpy").run_arrays(
-                    arrays
-                )
-            )
+            b = outcome(lambda: Executor(slots, faults=fi).run_arrays(arrays))
             assert a == b, "%s/%s/slots=%d" % (name, preset, slots)
             assert oi.injection_counts() == fi.injection_counts()
 
@@ -287,9 +274,9 @@ class TestDeadlockParity:
             ),
         ]
         with pytest.raises(DeadlockError) as py_err:
-            execute_tasks(tasks, 2, backend="python")
+            Executor(2).run(tasks)
         with pytest.raises(DeadlockError) as np_err:
-            execute_tasks(tasks, 2, backend="numpy")
+            Executor(2).run_arrays(tasks_to_arrays(tasks))
         assert str(py_err.value) == str(np_err.value)
 
     def test_circular_wait_cycle_reported_identically(self):
@@ -311,19 +298,13 @@ class TestDeadlockParity:
         for slots in (4, 2, 1):
             for config in (None, FAULTY):
                 with pytest.raises(DeadlockError) as py_err:
-                    execute_tasks(
-                        tasks,
-                        slots,
-                        faults=FaultInjector(config) if config else None,
-                        backend="python",
-                    )
+                    Executor(
+                        slots, faults=FaultInjector(config) if config else None
+                    ).run(tasks)
                 with pytest.raises(DeadlockError) as np_err:
-                    execute_tasks(
-                        tasks,
-                        slots,
-                        faults=FaultInjector(config) if config else None,
-                        backend="numpy",
-                    )
+                    Executor(
+                        slots, faults=FaultInjector(config) if config else None
+                    ).run_arrays(tasks_to_arrays(tasks))
                 assert str(py_err.value) == str(np_err.value), slots
 
     def test_double_signal_rejected_with_oracle_message(self):
@@ -347,38 +328,9 @@ class TestDeadlockParity:
 
 
 class TestBackendResolution:
-    def teardown_method(self):
-        set_default_executor(None)
-
-    def test_default_is_python(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        assert resolve_executor_backend(None) == "python"
-
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "numpy")
-        assert resolve_executor_backend("python") == "python"
-
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "numpy")
-        assert resolve_executor_backend(None) == "numpy"
-
-    def test_process_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "python")
-        set_default_executor("numpy")
-        assert resolve_executor_backend(None) == "numpy"
-
-    def test_unknown_backend_rejected(self):
-        for name in ("fortran", "numba"):
-            with pytest.raises(ConfigurationError):
-                resolve_executor_backend(name)
-            with pytest.raises(ConfigurationError):
-                set_default_executor(name)
-
-    def test_bad_env_value_rejected(self, monkeypatch):
-        for value in ("cuda", "numba"):
-            monkeypatch.setenv("REPRO_EXECUTOR", value)
-            with pytest.raises(ConfigurationError):
-                resolve_executor_backend(None)
+    """The kind of input selects the loop: ``run(tasks)`` is the oracle,
+    ``run_arrays(arrays)`` the numpy loop, and each says so in the
+    counters."""
 
     def test_backend_counter_published(self):
         spec = GPU_PRESETS["hypothetical_4sm"]
@@ -387,10 +339,10 @@ class TestBackendResolution:
         )
         tasks = cost.build_tasks(schedule)
         reset_counters()
-        Executor(spec.total_cta_slots, backend="python").run(tasks)
+        Executor(spec.total_cta_slots).run(tasks)
         assert snapshot_counters()["executor.backend.python"] == 1
         reset_counters()
-        Executor(spec.total_cta_slots, backend="numpy").run(tasks)
+        Executor(spec.total_cta_slots).run_arrays(tasks_to_arrays(tasks))
         assert snapshot_counters()["executor.backend.numpy"] == 1
 
 
@@ -405,8 +357,8 @@ class TestArrayTraceBehavesLikeExecutionTrace:
             "stream_k", spec, GemmProblem(96, 96, 160, dtype=FP64), FP64
         )
         tasks = cost.build_tasks(schedule)
-        oracle = Executor(spec.total_cta_slots, backend="python").run(tasks)
-        fast = Executor(spec.total_cta_slots, backend="numpy").run_arrays(
+        oracle = Executor(spec.total_cta_slots).run(tasks)
+        fast = Executor(spec.total_cta_slots).run_arrays(
             cost.build_task_arrays(schedule)
         )
         return oracle, fast
@@ -428,7 +380,7 @@ class TestArrayTraceBehavesLikeExecutionTrace:
 
         spec = GPU_PRESETS["a100"]
         schedule, cost = _build("two_tile_stream_k", spec, PROBLEMS[1])
-        fast = Executor(spec.total_cta_slots, backend="numpy").run_arrays(
+        fast = Executor(spec.total_cta_slots).run_arrays(
             cost.build_task_arrays(schedule)
         )
         report = check_protocol_invariants(schedule, fast)
@@ -464,7 +416,7 @@ class TestFlattenCorrespondence:
         tasks = cost.build_tasks(schedule)
         dup = tasks + [tasks[0]]
         with pytest.raises(ConfigurationError) as py_err:
-            execute_tasks(dup, spec.total_cta_slots, backend="python")
+            Executor(spec.total_cta_slots).run(dup)
         with pytest.raises(ConfigurationError) as np_err:
             tasks_to_arrays(dup)
         assert str(py_err.value) == str(np_err.value)
@@ -486,25 +438,22 @@ class TestFlattenCorrespondence:
 
 
 class TestSimulateKernelBackendParity:
-    def test_simulate_kernel_executor_param(self):
+    def test_simulate_kernel_matches_oracle(self):
         from repro.gpu import simulate_kernel
 
         spec = GPU_PRESETS["a100"]
-        schedule, _ = _build("stream_k", spec, PROBLEMS[0])
-        py = simulate_kernel(schedule, spec, executor="python")
-        fast = simulate_kernel(schedule, spec, executor="numpy")
-        assert fast.makespan_cycles == py.makespan_cycles
-        assert fast.time_s == py.time_s
-        assert fast.trace.ctas == py.trace.ctas
+        schedule, cost = _build("stream_k", spec, PROBLEMS[0])
+        oracle = Executor(spec.total_cta_slots).run(cost.build_tasks(schedule))
+        fast = simulate_kernel(schedule, spec)
+        assert fast.makespan_cycles == oracle.makespan
+        assert fast.trace.ctas == oracle.ctas
 
     def test_simulate_kernel_check_invariants_on_fast_backend(self):
         from repro.gpu import simulate_kernel
 
         spec = GPU_PRESETS["a100"]
         schedule, _ = _build("two_tile_stream_k", spec, PROBLEMS[1])
-        result = simulate_kernel(
-            schedule, spec, executor="numpy", check_invariants=True
-        )
+        result = simulate_kernel(schedule, spec, check_invariants=True)
         assert result.makespan_cycles > 0.0
 
     def test_fault_sweep_backend_invariant(self):

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.gpu import CtaTask, Executor, SegmentKind, TimedSegment, execute_tasks
+from repro.gpu import CtaTask, SegmentKind, TimedSegment
 
 
 def owner(cta, peer, compute=1.0):
@@ -52,11 +52,11 @@ def wait_then_signal(cta, peer):
 
 
 class TestWaitChainDiagnostics:
-    def test_unlaunchable_producer_named(self):
+    def test_unlaunchable_producer_named(self, execute):
         """Waiter-before-producer under full residency: mid-dispatch raise."""
         tasks = [owner(0, peer=1), contributor(1)]
         with pytest.raises(DeadlockError) as exc:
-            execute_tasks(tasks, 1)
+            execute(tasks, 1)
         err = exc.value
         assert err.blocked == [0]
         assert err.cycle is None
@@ -66,19 +66,19 @@ class TestWaitChainDiagnostics:
         assert "CTA 1" in reason
         assert "CTA 0 waits on slot 1" in str(err)
 
-    def test_wait_on_slot_nobody_signals(self):
+    def test_wait_on_slot_nobody_signals(self, execute):
         tasks = [owner(0, peer=7)]
         with pytest.raises(DeadlockError) as exc:
-            execute_tasks(tasks, 4)
+            execute(tasks, 4)
         ((cta, slot, reason),) = exc.value.wait_chain
         assert (cta, slot) == (0, 7)
         assert "no CTA ever signals slot 7" in reason
         assert exc.value.cycle is None
 
-    def test_circular_wait_reported_as_cycle(self):
+    def test_circular_wait_reported_as_cycle(self, execute):
         tasks = [wait_then_signal(0, peer=1), wait_then_signal(1, peer=0)]
         with pytest.raises(DeadlockError) as exc:
-            execute_tasks(tasks, 2)
+            execute(tasks, 2)
         err = exc.value
         assert err.blocked == [0, 1]
         assert err.cycle is not None and sorted(err.cycle) == [0, 1]
@@ -87,17 +87,17 @@ class TestWaitChainDiagnostics:
         assert "itself blocked on slot 1" in reasons[1]
         assert "wait cycle: CTA" in str(err)
 
-    def test_three_cta_cycle(self):
+    def test_three_cta_cycle(self, execute):
         tasks = [
             wait_then_signal(0, peer=1),
             wait_then_signal(1, peer=2),
             wait_then_signal(2, peer=0),
         ]
         with pytest.raises(DeadlockError) as exc:
-            execute_tasks(tasks, 3)
+            execute(tasks, 3)
         assert sorted(exc.value.cycle) == [0, 1, 2]
 
-    def test_chain_into_unlaunched_producer(self):
+    def test_chain_into_unlaunched_producer(self, execute):
         """A wait chain that terminates off-machine is not a cycle."""
         tasks = [
             wait_then_signal(0, peer=1),  # blocked on 1
@@ -105,25 +105,25 @@ class TestWaitChainDiagnostics:
             contributor(2),               # never launches: 2 slots, both held
         ]
         with pytest.raises(DeadlockError) as exc:
-            execute_tasks(tasks, 2)
+            execute(tasks, 2)
         err = exc.value
         assert err.cycle is None
         reasons = {cta: reason for cta, _, reason in err.wait_chain}
         assert "itself blocked on slot 2" in reasons[0]
         assert "never launched" in reasons[1]
 
-    def test_partial_progress_still_recorded(self):
+    def test_partial_progress_still_recorded(self, execute):
         """CTAs that finished before the wedge are not in the chain."""
         tasks = [contributor(2), owner(0, peer=1), contributor(1)]
         with pytest.raises(DeadlockError) as exc:
-            execute_tasks(tasks, 1)
+            execute(tasks, 1)
         # CTA 2 ran to completion on the single slot; then CTA 0 wedged it.
         assert exc.value.blocked == [0]
         assert all(cta != 2 for cta, _, _ in exc.value.wait_chain)
 
 
 class TestInternalDefenses:
-    def test_double_signal_is_simulation_error(self):
+    def test_double_signal_is_simulation_error(self, execute):
         """The executor defends against double publication even though
         CtaTask validation makes it unreachable through the public API."""
         rogue = SimpleNamespace(
@@ -134,7 +134,7 @@ class TestInternalDefenses:
             ),
         )
         with pytest.raises(SimulationError, match="signalled twice"):
-            Executor(1).run([rogue])
+            execute([rogue], 1)
 
     def test_deadlock_is_a_simulation_error(self):
         assert issubclass(DeadlockError, SimulationError)

@@ -67,10 +67,20 @@ class TestLibraryParity:
             )
 
     def test_fp64_regime_boundaries(self, gpu4):
+        """One shape per regime on the 4-SM GPU (FP64 64x64 tiles):
+        4 tiles divide evenly, 1 tile is fewer than 4 SMs, 6 tiles are
+        neither."""
         lib = StreamKLibrary(gpu4, FP64)
-        for m, n, k in ((128, 128, 1024), (512, 512, 256), (640, 384, 96)):
+        for (m, n, k), kind in (
+            ((128, 128, 1024), "data_parallel"),
+            ((64, 64, 4096), "basic_stream_k"),
+            ((192, 128, 1024), "two_tile"),
+        ):
             problem = GemmProblem(m, n, k, dtype=FP64)
-            assert lib.plan(problem) == plan_query(
+            plan = lib.plan(problem)
+            assert plan.kind == kind
+            assert lib.build_schedule(problem).metadata["kind"] == kind
+            assert plan == plan_query(
                 m, n, k, FP64, gpu4, params=lib.params, blocking=lib.blocking
             )
 

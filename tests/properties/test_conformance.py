@@ -90,11 +90,11 @@ def _execute(name, problem, dtype, spec):
     schedule = build_registered_schedule(name, grid, spec)
     cost = KernelCostModel(gpu=spec, blocking=blocking, dtype=dtype)
     tasks = cost.build_tasks(schedule)
-    trace = Executor(spec.total_cta_slots, backend="python").run(tasks)
+    trace = Executor(spec.total_cta_slots).run(tasks)
     # The vectorized backend must reproduce the oracle bitwise on every
     # drawn (shape, dtype, spec) point; the invariant checks downstream
     # then run against the fast backend's trace, not the oracle's.
-    fast = Executor(spec.total_cta_slots, backend="numpy").run_arrays(
+    fast = Executor(spec.total_cta_slots).run_arrays(
         cost.build_task_arrays(schedule)
     )
     assert fast.makespan == trace.makespan

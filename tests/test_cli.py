@@ -267,66 +267,6 @@ class TestCrossHwCommand:
             main(["crosshw", "--schedules", "bogus", "--size", "50"])
 
 
-class TestExecutorFlag:
-    """--executor / $REPRO_EXECUTOR: every backend prints the same bytes."""
-
-    @pytest.fixture(autouse=True)
-    def _reset_backend(self):
-        from repro.gpu import set_default_executor
-
-        yield
-        set_default_executor(None)
-
-    def test_simulate_output_backend_invariant(self, capsys):
-        args = ["simulate", "384", "384", "128", "--gpu", "hypothetical_4sm"]
-        assert main(args) == 0
-        baseline = capsys.readouterr().out
-        assert main(args + ["--executor", "numpy"]) == 0
-        assert capsys.readouterr().out == baseline
-
-    def test_faults_output_backend_invariant(self, capsys):
-        args = [
-            "faults", "384", "384", "128", "--gpu", "hypothetical_4sm",
-            "--severities", "0,1", "--seed", "5",
-        ]
-        counters.reset_counters()  # the report includes cumulative counters
-        assert main(args) == 0
-        baseline = capsys.readouterr().out
-        counters.reset_counters()
-        assert main(args + ["--executor", "numpy"]) == 0
-        assert capsys.readouterr().out == baseline
-
-    def test_env_var_selects_backend(self, capsys, monkeypatch):
-        from repro.obs import counters as _counters
-
-        monkeypatch.setenv("REPRO_EXECUTOR", "numpy")
-        _counters.reset_counters()
-        args = ["simulate", "256", "256", "128", "--gpu", "hypothetical_4sm"]
-        assert main(args) == 0
-        assert _counters.get_counter("executor.backend.numpy") > 0
-        assert _counters.get_counter("executor.backend.python") == 0
-
-    def test_flag_overrides_env_var(self, capsys, monkeypatch):
-        from repro.obs import counters as _counters
-
-        monkeypatch.setenv("REPRO_EXECUTOR", "numpy")
-        _counters.reset_counters()
-        args = [
-            "simulate", "256", "256", "128", "--gpu", "hypothetical_4sm",
-            "--executor", "python",
-        ]
-        assert main(args) == 0
-        assert _counters.get_counter("executor.backend.python") > 0
-        assert _counters.get_counter("executor.backend.numpy") == 0
-
-    def test_bad_backend_rejected_by_parser(self):
-        for name in ("cuda", "numba"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(
-                    ["simulate", "1", "1", "1", "--executor", name]
-                )
-
-
 class TestServeCommand:
     """``repro serve`` / ``repro loadgen`` (docs/SERVING.md)."""
 
